@@ -22,24 +22,23 @@ stock zoo never see them unless a test or replay asks.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Dict, Tuple
 
-from repro.core.base import Scheduler
-from repro.core.flow import FlowState
 from repro.core.packet import Packet
+from repro.core.pifo import PifoScheduler, RankFlow, SfqRank
 from repro.core.registry import (
+    RankFactory,
     SchedulerSpec,
     available_schedulers,
     register_scheduler,
     scheduler_spec,
 )
-from repro.core.sfq import SFQ
 
 __all__ = ["BrokenSFQ", "FIXTURES", "ensure_fixture_registered", "is_fixture"]
 
 
-class BrokenSFQ(SFQ):
-    """SFQ with the start-tag ``max`` dropped (a seeded mutation).
+class BrokenSFQ(SfqRank):
+    """SFQ's rank with the start-tag ``max`` dropped (a seeded mutation).
 
     Correct SFQ stamps ``S = max(v(t), F(p^{j-1}))``; this fixture
     stamps ``S = F(p^{j-1})`` only. A continuously backlogged flow
@@ -50,22 +49,22 @@ class BrokenSFQ(SFQ):
 
     __slots__ = ()
 
-    algorithm = "BrokenSFQ"
+    name = "BrokenSFQ"
 
-    def _tag_packet(self, state: FlowState, packet: Packet, now: float) -> float:
-        start = state.last_finish  # BUG (deliberate): max(self.v, ...) dropped
+    def rank(self, flow: RankFlow, packet: Packet, now: float) -> float:
+        start = flow.last_finish  # BUG (deliberate): max(self.v, ...) dropped
         rate = packet.rate
-        finish = start + packet.length / (state._weight if rate is None else rate)
+        finish = start + packet.length / (flow.weight if rate is None else rate)
         packet.start_tag = start
         packet.finish_tag = finish
-        state.last_finish = finish
+        flow.last_finish = finish
         return start
 
 
-#: fixture name -> (scheduler class, name of the registered discipline
-#: whose constructor surface it shares). Every entry self-identifies
-#: via ``algorithm`` so reports show the fixture name, not "SFQ".
-FIXTURES: Dict[str, Tuple[Type[Scheduler], str]] = {
+#: fixture name -> (rank function, name of the registered discipline
+#: whose constructor surface it shares). Every fixture rank carries its
+#: own ``name``, so reports show the fixture name, not "SFQ".
+FIXTURES: Dict[str, Tuple[RankFactory, str]] = {
     "BrokenSFQ": (BrokenSFQ, "SFQ"),
 }
 
@@ -85,17 +84,18 @@ def ensure_fixture_registered(name: str) -> bool:
     entry = FIXTURES.get(name)
     if entry is None:
         return False
-    cls, like = entry
+    rank_fn, like = entry
     if name not in available_schedulers():
         base = scheduler_spec(like)
         register_scheduler(
             SchedulerSpec(
                 name,
-                cls,
+                PifoScheduler,
                 f"chaos fixture: deliberately broken {like} "
                 "(see repro.chaos.fixtures)",
                 needs_capacity=base.needs_capacity,
                 params=base.params,
+                rank_fn=rank_fn,
             )
         )
     return True

@@ -27,10 +27,14 @@ Protocol
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.flow import FlowState
 from repro.core.packet import Packet
+
+#: A tie-break rule: ``(state, packet)`` -> sortable secondary key (see
+#: :class:`TieBreak`).
+TieBreakRule = Callable[[FlowState, Packet], Tuple[Any, ...]]
 
 
 class SchedulerError(Exception):

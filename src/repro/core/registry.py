@@ -13,19 +13,22 @@ one public entry point experiments and users construct through is::
     make_scheduler("WFQ", capacity=1e6, auto_register=False)
     make_scheduler("DRR", quantum_scale=2.0)
 
-Rank functions (registry API v2)
---------------------------------
-Since the PIFO core (:mod:`repro.core.pifo`) every tag discipline *is*
-a rank function, and the registry exposes that seam:
+Rank functions
+--------------
+Every tag discipline is a :class:`~repro.core.pifo.RankFn` on the one
+exact engine, :class:`~repro.core.pifo.PifoScheduler`, and the registry
+exposes that seam:
 
-* each tag spec carries ``rank_fn`` — the :class:`~repro.core.pifo.RankFn`
-  factory its engine runs on;
+* each tag spec is ``PifoScheduler`` plus ``rank_fn`` — the rank
+  factory the engine runs; keyword parameters the engine does not take
+  (LSTF's ``default_slack``) are handed to the rank factory;
 * ``make_scheduler(name, bands=k)`` builds the discipline on the
   SP-PIFO band approximation instead of the exact engine (``bands=0``
   selects the exact side of :class:`~repro.core.pifo.SpPifoScheduler`);
 * ``make_scheduler("MyThing", rank_fn=MyRank)`` registers and constructs
   a brand-new discipline from an ad-hoc rank function — a new
-  discipline in ~10 lines;
+  discipline in ~10 lines; the engine reports ``MyRank.name`` as its
+  ``algorithm``;
 * :func:`list_schedulers` / :func:`describe_scheduler` introspect the
   registry without constructing anything.
 
@@ -43,60 +46,27 @@ Normalized defaults
 -------------------
 Raw constructors disagree on ``auto_register``: most schedulers default
 ``True`` (first packet of an unknown flow registers it at
-``default_weight``) but ``DelayEDD``/``JitterEDD`` default ``False``
-(their flows need an explicit deadline/rate anyway, so silent
-registration only defers the error). The registry removes the
+``default_weight``) but ``JitterEDD`` defaults ``False`` (its flows need
+an explicit rate anyway, so silent registration only defers the
+error). The registry removes the
 inconsistency: :func:`make_scheduler` passes ``auto_register=True`` for
 *every* discipline unless the caller says otherwise. EDD disciplines
 still require :meth:`add_flow_with_deadline` before a flow's first
 enqueue — the normalization changes when the mistake is reported, not
 the requirement.
-
-Backends
---------
-The tag disciplines ship two interchangeable implementations:
-
-* ``"object"`` — the reference path: one ``FlowState`` object per flow
-  (:mod:`repro.core.headheap` under :class:`repro.core.pifo.PifoScheduler`).
-  Always available, easiest to read and debug, and the implementation
-  the trace-equivalence suite treats as ground truth.
-* ``"array"`` — the struct-of-arrays slab + int-keyed flow-head heap
-  (:mod:`repro.core.slab` / :mod:`repro.core.arrayheap`), byte-identical
-  in service order but sized for 10^5–10^6 flows.
-
-Select per call (``make_scheduler("SFQ", backend="array")``), per
-process (:func:`set_default_backend`), or per environment
-(``REPRO_SCHED_BACKEND=array``). Disciplines without an array variant
-(DRR, FIFO, JitterEDD, ...) fall back to their object implementation
-under ``backend="array"`` so a ladder can set one backend for every
-discipline it constructs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, cast
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.core.arrayheap import (
-    ArrayDelayEDD,
-    ArrayFQS,
-    ArrayLSTF,
-    ArrayPifoScheduler,
-    ArraySCFQ,
-    ArraySFQ,
-    ArrayVirtualClock,
-    ArrayWF2Q,
-    ArrayWFQ,
-)
 from repro.core.base import Scheduler
 from repro.core.drr import DRR, WRR
-from repro.core.delay_edd import DelayEDD
 from repro.core.fair_airport import FairAirport
 from repro.core.fifo import FIFO
 from repro.core.jitter_edd import JitterEDD
 from repro.core.pifo import (
-    LSTF,
     DelayEddRank,
     FqsRank,
     LstfRank,
@@ -108,34 +78,23 @@ from repro.core.pifo import (
     VcRank,
     Wf2qRank,
     WfqRank,
-    registry_construction,
 )
-from repro.core.scfq import SCFQ
-from repro.core.sfq import SFQ
-from repro.core.virtual_clock import VirtualClock
-from repro.core.wf2q import WF2Q
-from repro.core.wfq import FQS, WFQ
 
 __all__ = [
     "ParamSpec",
     "SchedulerSpec",
     "available_schedulers",
-    "default_backend",
     "describe_scheduler",
     "list_schedulers",
     "make_scheduler",
     "register_scheduler",
     "scheduler_spec",
-    "set_default_backend",
 ]
 
-#: Backends accepted by :func:`make_scheduler` / :func:`set_default_backend`.
-_BACKENDS = ("object", "array")
-
-#: A rank-function factory: a RankFn subclass or zero/one-arg callable.
-#: Rate-proportional factories (``needs_capacity = True`` on the class)
-#: are called with ``assumed_capacity=<capacity>``; the rest with no
-#: arguments.
+#: A rank-function factory: a RankFn subclass or callable. Rate-
+#: proportional factories (``needs_capacity = True`` on the class) are
+#: called with ``assumed_capacity=<capacity>``, plus any rank-specific
+#: keywords (see :data:`_ENGINE_PARAMS`).
 RankFactory = Callable[..., RankFn]
 
 
@@ -153,6 +112,9 @@ class SchedulerSpec:
     """Construction contract of one registered discipline."""
 
     name: str
+    #: The scheduler class; for rank specs, the engine that takes the
+    #: rank as its first argument (:class:`PifoScheduler` or
+    #: :class:`SpPifoScheduler`).
     cls: Type[Scheduler]
     description: str
     #: True for rate-proportional disciplines that must be told the link
@@ -160,10 +122,6 @@ class SchedulerSpec:
     #: ``assumed_capacity``).
     needs_capacity: bool = False
     params: Tuple[ParamSpec, ...] = ()
-    #: Slab-backed implementation (``backend="array"``), or None when
-    #: the discipline only has the object path (the factory then falls
-    #: back to ``cls`` so backend selection is uniform across a ladder).
-    array_cls: Optional[Type[Scheduler]] = None
     #: Rank-function factory for disciplines that run on the PIFO
     #: engines; enables ``make_scheduler(name, bands=k)``. None for
     #: round-robin/FIFO-style disciplines with no rank formulation.
@@ -171,56 +129,10 @@ class SchedulerSpec:
     #: Default SP-PIFO band count for specs constructed on
     #: :class:`~repro.core.pifo.SpPifoScheduler` (``cls`` is the engine).
     bands: Optional[int] = None
-    #: True when ``cls``/``array_cls`` are bare PIFO engines taking the
-    #: rank as their first argument (ad-hoc ``rank_fn=`` registrations),
-    #: rather than named discipline classes that build their own rank.
-    rank_engine: bool = False
 
     def param_names(self) -> Tuple[str, ...]:
         """Accepted keyword names, in declaration order."""
         return tuple(p.name for p in self.params)
-
-    def backend_cls(self, backend: str) -> Type[Scheduler]:
-        """Implementation class for ``backend`` (with object fallback)."""
-        if backend == "array" and self.array_cls is not None:
-            return self.array_cls
-        return self.cls
-
-
-#: Process-wide default backend; resolved lazily so the environment
-#: variable is honored even when repro is imported before it is set
-#: by a test harness.
-_DEFAULT_BACKEND: Optional[str] = None
-
-
-def _validate_backend(backend: str) -> str:
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown scheduler backend {backend!r}; available: "
-            + ", ".join(_BACKENDS)
-        )
-    return backend
-
-
-def default_backend() -> str:
-    """The backend used when :func:`make_scheduler` gets no ``backend``.
-
-    Resolution order: :func:`set_default_backend` if called, else the
-    ``REPRO_SCHED_BACKEND`` environment variable, else ``"object"``.
-    """
-    if _DEFAULT_BACKEND is not None:
-        return _DEFAULT_BACKEND
-    env = os.environ.get("REPRO_SCHED_BACKEND")  # lint: disable=CACHE001  backend selection is result-invariant: the trace-equivalence suite gates byte-identical schedules across backends
-    if env:
-        return _validate_backend(env.strip().lower())
-    return "object"
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Set the process-wide default backend (``None`` resets to the
-    environment/``"object"`` resolution)."""
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = None if backend is None else _validate_backend(backend)
 
 
 _AUTO_REGISTER = ParamSpec(
@@ -236,7 +148,9 @@ _TIE_BREAK = ParamSpec(
     "tie_break", "callable", "tag tie-break rule (see repro.core.base.TieBreak)"
 )
 _DEBUG_CHECKS = ParamSpec(
-    "debug_checks", "bool", "enable O(n) per-event invariant assertions"
+    "debug_checks",
+    "bool",
+    "re-verify the flow-head-heap invariant on every dequeue",
 )
 _TRACK_INVERSIONS = ParamSpec(
     "track_inversions",
@@ -250,6 +164,12 @@ _COMMON = (_AUTO_REGISTER, _DEFAULT_WEIGHT)
 #: approximation has no tie-break or debug-check machinery).
 _SP_PIFO_PARAMS = frozenset(
     ("auto_register", "default_weight", "track_inversions")
+)
+
+#: Parameters :class:`PifoScheduler` takes; a rank spec's other declared
+#: parameters are keywords of its rank factory.
+_ENGINE_PARAMS = frozenset(
+    ("tie_break", "auto_register", "default_weight", "debug_checks")
 )
 
 #: canonical name -> spec, in Table-1 presentation order.
@@ -300,14 +220,12 @@ def scheduler_spec(name: str) -> SchedulerSpec:
 def describe_scheduler(name: str) -> str:
     """Human-readable description of one registered discipline.
 
-    Covers the construction contract: backends, capacity requirement,
-    rank function (when the discipline runs on the PIFO engines), band
+    Covers the construction contract: capacity requirement, rank
+    function (when the discipline runs on the PIFO engines), band
     default, and the accepted parameters with their docs.
     """
     spec = scheduler_spec(name)
     lines = [f"{spec.name}: {spec.description}"]
-    backends = "object, array" if spec.array_cls is not None else "object"
-    lines.append(f"  backends: {backends}")
     if spec.needs_capacity:
         lines.append(
             "  capacity: required (rate-proportional; pass "
@@ -338,7 +256,9 @@ def _validate_params(spec: SchedulerSpec, kwargs: Dict[str, Any]) -> None:
         )
 
 
-def _build_rank(spec: SchedulerSpec, capacity: Optional[float]) -> RankFn:
+def _build_rank(
+    spec: SchedulerSpec, capacity: Optional[float], **rank_params: Any
+) -> RankFn:
     """Instantiate a spec's rank function, injecting the link rate once.
 
     This is the single place the capacity contract lives for the PIFO
@@ -350,7 +270,7 @@ def _build_rank(spec: SchedulerSpec, capacity: Optional[float]) -> RankFn:
     if factory is None:
         raise TypeError(
             f"{spec.name} has no rank function registered; it cannot run "
-            "on the PIFO/SP-PIFO engines (bands=/rank-engine construction)"
+            "on the SP-PIFO engine (bands=)"
         )
     if spec.needs_capacity:
         if capacity is None:
@@ -358,55 +278,31 @@ def _build_rank(spec: SchedulerSpec, capacity: Optional[float]) -> RankFn:
                 f"{spec.name} is rate-proportional and needs the link "
                 f"rate: make_scheduler({spec.name!r}, capacity=...)"
             )
-        return factory(assumed_capacity=capacity)
-    return factory()
+        return factory(assumed_capacity=capacity, **rank_params)
+    return factory(**rank_params)
 
 
 def _ensure_rank_spec(name: str, rank_fn: RankFactory) -> SchedulerSpec:
-    """Resolve (registering on first use) the spec for an ad-hoc rank.
-
-    The registered spec's ``cls``/``array_cls`` are dynamically named
-    subclasses of the bare PIFO engines, so ``scheduler.algorithm`` and
-    trace labels carry the discipline's name.
-    """
+    """Resolve (registering on first use) the spec for an ad-hoc rank."""
     canonical = _ALIASES.get(name.lower())
     if canonical is not None:
         spec = _REGISTRY[canonical]
-        if not spec.rank_engine:
-            raise TypeError(
-                f"{spec.name} is already registered as a built-in "
-                "discipline; pick a new name for an ad-hoc rank_fn"
-            )
         if spec.rank_fn is not rank_fn:
             raise TypeError(
                 f"{spec.name} is already registered with a different "
-                "rank_fn; re-register explicitly via register_scheduler()"
+                "rank_fn; pick a new name or re-register explicitly via "
+                "register_scheduler()"
             )
         return spec
-    needs_capacity = bool(getattr(rank_fn, "needs_capacity", False))
     rank_label = getattr(rank_fn, "__name__", repr(rank_fn))
-    cls = cast(
-        Type[Scheduler],
-        type(name, (PifoScheduler,), {"__slots__": (), "algorithm": name}),
-    )
-    array_cls = cast(
-        Type[Scheduler],
-        type(
-            f"Array{name}",
-            (ArrayPifoScheduler,),
-            {"__slots__": (), "algorithm": name},
-        ),
-    )
     return register_scheduler(
         SchedulerSpec(
             name,
-            cls,
+            PifoScheduler,
             f"ad-hoc rank-function discipline ({rank_label})",
-            needs_capacity=needs_capacity,
+            needs_capacity=bool(getattr(rank_fn, "needs_capacity", False)),
             params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-            array_cls=array_cls,
             rank_fn=rank_fn,
-            rank_engine=True,
         )
     )
 
@@ -415,7 +311,6 @@ def make_scheduler(
     name: str,
     *,
     capacity: float | None = None,
-    backend: str | None = None,
     bands: int | None = None,
     rank_fn: RankFactory | None = None,
     **params: Any,
@@ -432,12 +327,6 @@ def make_scheduler(
         Link rate in bits/s. Required by rate-proportional disciplines
         (WFQ, FQS, WF2Q), accepted and ignored by the rest, so a ladder
         can pass it unconditionally.
-    backend:
-        ``"object"`` (per-flow FlowState objects, the reference path) or
-        ``"array"`` (struct-of-arrays slab, byte-identical schedules at
-        million-flow scale). ``None`` uses :func:`default_backend`.
-        Disciplines without an array variant fall back to their object
-        implementation.
     bands:
         When given, build the discipline's rank function on the SP-PIFO
         band approximation (:class:`~repro.core.pifo.SpPifoScheduler`)
@@ -451,17 +340,14 @@ def make_scheduler(
     params:
         Discipline-specific keywords, validated against the spec
         (``tie_break``, ``debug_checks``, ``quantum_scale``,
-        ``auto_register``, ``default_weight``, ``track_inversions``).
-        Unknown keywords raise ``TypeError`` listing what the
-        discipline accepts.
+        ``auto_register``, ``default_weight``, ``track_inversions``,
+        ``default_slack``). Unknown keywords raise ``TypeError`` listing
+        what the discipline accepts.
     """
     if rank_fn is not None:
         spec = _ensure_rank_spec(name, rank_fn)
     else:
         spec = scheduler_spec(name)
-    resolved_backend = (
-        default_backend() if backend is None else _validate_backend(backend)
-    )
     kwargs: Dict[str, Any] = dict(params)
 
     # --- SP-PIFO construction: bands requested, or the spec itself is
@@ -476,26 +362,27 @@ def make_scheduler(
                 + ", ".join(sorted(_SP_PIFO_PARAMS))
             )
         kwargs.setdefault("auto_register", True)
-        rank = _build_rank(spec, capacity)
-        with registry_construction():
-            return SpPifoScheduler(
-                rank,
-                bands=None if resolved_bands in (None, 0) else resolved_bands,
-                **kwargs,
-            )
+        return SpPifoScheduler(
+            _build_rank(spec, capacity),
+            bands=None if resolved_bands in (None, 0) else resolved_bands,
+            **kwargs,
+        )
 
     _validate_params(spec, kwargs)
     # Normalized default (see module docstring): explicit for every
-    # discipline, so DelayEDD/JitterEDD behave like the rest.
+    # discipline, so JitterEDD behaves like the rest.
     kwargs.setdefault("auto_register", True)
 
-    # --- Ad-hoc rank-engine specs: the engine takes the rank object.
-    if spec.rank_engine:
-        rank = _build_rank(spec, capacity)
-        with registry_construction():
-            return spec.backend_cls(resolved_backend)(rank, **kwargs)
+    # --- Rank specs: the engine takes the rank; parameters the engine
+    # does not know belong to the rank factory.
+    if spec.rank_fn is not None:
+        rank_params = {
+            k: kwargs.pop(k) for k in list(kwargs) if k not in _ENGINE_PARAMS
+        }
+        engine: Callable[..., Scheduler] = spec.cls
+        return engine(_build_rank(spec, capacity, **rank_params), **kwargs)
 
-    # --- Named discipline classes (legacy construction surface).
+    # --- Round-robin / FIFO-style disciplines: the class itself.
     if spec.needs_capacity:
         if capacity is None:
             raise TypeError(
@@ -503,8 +390,7 @@ def make_scheduler(
                 f"rate: make_scheduler({spec.name!r}, capacity=...)"
             )
         kwargs["assumed_capacity"] = capacity
-    with registry_construction():
-        return spec.backend_cls(resolved_backend)(**kwargs)
+    return spec.cls(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -514,63 +400,57 @@ def make_scheduler(
 register_scheduler(
     SchedulerSpec(
         "SFQ",
-        SFQ,
+        PifoScheduler,
         "Start-time Fair Queueing (the paper's algorithm)",
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArraySFQ,
         rank_fn=SfqRank,
     )
 )
 register_scheduler(
     SchedulerSpec(
         "SCFQ",
-        SCFQ,
+        PifoScheduler,
         "Self-Clocked Fair Queueing (Golestani 1994)",
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArraySCFQ,
         rank_fn=ScfqRank,
     )
 )
 register_scheduler(
     SchedulerSpec(
         "WFQ",
-        WFQ,
+        PifoScheduler,
         "Weighted Fair Queueing / PGPS (finish-tag order over fluid GPS)",
         needs_capacity=True,
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArrayWFQ,
         rank_fn=WfqRank,
     )
 )
 register_scheduler(
     SchedulerSpec(
         "FQS",
-        FQS,
+        PifoScheduler,
         "Fair Queueing by Start-time (Greenberg & Madras 1992)",
         needs_capacity=True,
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArrayFQS,
         rank_fn=FqsRank,
     )
 )
 register_scheduler(
     SchedulerSpec(
         "WF2Q",
-        WF2Q,
+        PifoScheduler,
         "Worst-case Fair WFQ (eligibility-gated finish-tag order)",
         needs_capacity=True,
         params=(_DEBUG_CHECKS,) + _COMMON,
-        array_cls=ArrayWF2Q,
         rank_fn=Wf2qRank,
     )
 )
 register_scheduler(
     SchedulerSpec(
         "VirtualClock",
-        VirtualClock,
+        PifoScheduler,
         "Virtual Clock (Zhang 1990)",
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArrayVirtualClock,
         rank_fn=VcRank,
     )
 )
@@ -608,10 +488,9 @@ register_scheduler(
 register_scheduler(
     SchedulerSpec(
         "DelayEDD",
-        DelayEDD,
+        PifoScheduler,
         "Delay Earliest-Due-Date (flows need add_flow_with_deadline)",
         params=(_DEBUG_CHECKS,) + _COMMON,
-        array_cls=ArrayDelayEDD,
         rank_fn=DelayEddRank,
     )
 )
@@ -634,7 +513,7 @@ register_scheduler(
 register_scheduler(
     SchedulerSpec(
         "LSTF",
-        LSTF,
+        PifoScheduler,
         "Least Slack Time First (Mittal et al.; replay-harness seed)",
         params=(
             ParamSpec(
@@ -646,7 +525,6 @@ register_scheduler(
             _DEBUG_CHECKS,
         )
         + _COMMON,
-        array_cls=ArrayLSTF,
         rank_fn=LstfRank,
     )
 )
@@ -658,6 +536,5 @@ register_scheduler(
         params=(_TRACK_INVERSIONS,) + _COMMON,
         rank_fn=SfqRank,
         bands=8,
-        rank_engine=True,
     )
 )

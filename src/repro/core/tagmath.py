@@ -1,29 +1,29 @@
-"""Shared tag arithmetic for both scheduler backends.
+"""Shared tag arithmetic: eq. 4 and eq. 37, computed in one place.
 
-PR 7 copied the start/finish-tag expressions of the object backend
-(:mod:`repro.core.sfq` and friends) "expression-for-expression" into the
-slab backend (:mod:`repro.core.arrayheap`) to guarantee byte-identical
-schedules. That guarantee now lives *here*, once: both backends call
-these helpers, so the two copies cannot drift.
+Every consumer of the tag recursions — the rank functions of
+:mod:`repro.core.pifo`, Fair Airport, the EAT tracker and the
+delay-bound analysis — calls these helpers, so the arithmetic cannot
+drift between copies.
 
 Exact-float discipline
 ----------------------
-Byte-identical schedules across backends require bit-identical tags, so
-every expression below is the seed core's, verbatim:
+Byte-identical schedules against the frozen seed cores require
+bit-identical tags, so every expression below is the seed core's,
+verbatim:
 
 * ``max(v, last_finish)`` with the virtual time as the *first* argument
   (``max`` returns its first argument on ties — the argument order is
   part of the contract);
 * ``length / r`` — divide, never multiply by a cached ``1/r``: ``l/r``
   and ``l*(1/r)`` differ in ulps for non-dyadic rates, and a near-tie in
-  tags would then break differently between backends, flipping the
-  service order.
+  tags would then break differently from the seed, flipping the service
+  order.
 
-The helpers are deliberately *pure* (no Packet, no FlowState, no slab):
-each backend keeps its own state addressing and only the arithmetic is
-shared. They are also ``mypyc``-friendly — plain module-level functions
-over ``float``/``int`` — so ``scripts/build_compiled.py`` can compile
-this module into a C extension that the import system then prefers
+The helpers are deliberately *pure* (no Packet, no FlowState): callers
+keep their own state addressing and only the arithmetic is shared. They
+are also ``mypyc``-friendly — plain module-level functions over
+``float``/``int`` — so ``scripts/build_compiled.py`` can compile this
+module into a C extension that the import system then prefers
 transparently; the pure-Python form stays the reference and the
 fallback.
 """

@@ -114,7 +114,7 @@ def bench_dispatch(ops: int, repeats: int) -> Dict[str, dict]:
 
         def fast_run() -> float:
             # Optimized configuration selects the calendar event queue
-            # explicitly, mirroring how it opts into backend="array".
+            # explicitly.
             sim = Simulator(event_queue="calendar")
             return _dispatch_seconds(sim, sim.call_at, ops, pending)
 
@@ -169,11 +169,11 @@ def bench_pipeline(packets_per_flow: int, repeats: int) -> dict:
 
     def fast_run() -> float:
         # Optimized configuration with tracing disabled (the opt-in
-        # zero-cost path): slab-backed SFQ + calendar event queue +
+        # zero-cost path): PIFO-engine SFQ + calendar event queue +
         # engine fast loop with busy-period timer elision.
         return _pipeline_seconds(
             lambda: Simulator(event_queue="calendar"),
-            lambda: make_scheduler("SFQ", auto_register=False, backend="array"),
+            lambda: make_scheduler("SFQ", auto_register=False),
             NullTracer(),
             packets_per_flow,
         )
@@ -206,11 +206,9 @@ def bench_engine(smoke: bool = False, repeats: int = 5) -> dict:
 # Schedulers: per-packet cost vs per-flow backlog depth
 # ----------------------------------------------------------------------
 _OPTIMIZED = {
-    "SFQ": lambda: make_scheduler("SFQ", auto_register=False, backend="array"),
-    "SCFQ": lambda: make_scheduler("SCFQ", auto_register=False, backend="array"),
-    "VirtualClock": lambda: make_scheduler(
-        "VirtualClock", auto_register=False, backend="array"
-    ),
+    "SFQ": lambda: make_scheduler("SFQ", auto_register=False),
+    "SCFQ": lambda: make_scheduler("SCFQ", auto_register=False),
+    "VirtualClock": lambda: make_scheduler("VirtualClock", auto_register=False),
 }
 
 
@@ -359,7 +357,7 @@ def _scale_cycle_seconds(name: str, n_flows: int, cycles: int) -> float:
     kwargs = {}
     if scheduler_spec(name).needs_capacity:  # rate-proportional: need link rate
         kwargs["capacity"] = 1_000_000.0
-    sched = make_scheduler(name, auto_register=False, backend="array", **kwargs)
+    sched = make_scheduler(name, auto_register=False, **kwargs)
     for i in range(n_flows):
         sched.add_flow(i, 1000.0 + (i % 64))
     for i in range(n_flows):
@@ -386,7 +384,7 @@ def bench_scale(
     Two sections:
 
     * ``per_packet_cost`` — flat-scheduler per-packet cost vs flow count
-      for SFQ/SCFQ/WFQ on the array backend, with the per-discipline
+      for SFQ/SCFQ/WFQ, with the per-discipline
       ``flat_ratio`` (largest vs smallest sweep point; the O(log F)
       claim predicts <= ~1.5x across 10^3 -> 10^5).
     * ``hierarchical_stress`` — the ``scale`` experiment (link-sharing
@@ -542,7 +540,7 @@ def profile_pipeline(
     profiler.enable()
     _pipeline_seconds(
         lambda: Simulator(event_queue="calendar"),
-        lambda: make_scheduler("SFQ", auto_register=False, backend="array"),
+        lambda: make_scheduler("SFQ", auto_register=False),
         NullTracer(),
         packets_per_flow,
     )

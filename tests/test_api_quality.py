@@ -53,7 +53,8 @@ def test_all_exports_resolve():
 
 
 def test_top_level_all_covers_the_quickstart_api():
-    for name in ("SFQ", "WFQ", "Link", "Simulator", "Packet", "HierarchicalScheduler"):
+    for name in ("make_scheduler", "list_schedulers", "Link", "Simulator",
+                 "Packet", "HierarchicalScheduler"):
         assert name in repro.__all__
         assert hasattr(repro, name)
 
@@ -63,11 +64,11 @@ def test_py_typed_marker_ships():
 
 
 def test_public_schedulers_registered():
-    from repro.core import ALGORITHMS
+    from repro.core import list_schedulers
 
     for name in ("SFQ", "SCFQ", "WFQ", "FQS", "WF2Q", "DRR", "WRR", "FIFO",
                   "VirtualClock", "DelayEDD", "JitterEDD", "FairAirport"):
-        assert name in ALGORITHMS
+        assert name in list_schedulers()
 
 
 def test_version_is_set():

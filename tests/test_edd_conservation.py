@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DelayEDD, JitterEDD, Packet
+from repro.core import JitterEDD, Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
@@ -32,9 +32,8 @@ def _registered(make):
 @settings(max_examples=25, deadline=None)
 @given(schedule=arrivals, which=st.sampled_from(["DelayEDD", "JitterEDD"]))
 def test_edd_variants_conserve_packets(schedule, which):
-    makers = {"DelayEDD": DelayEDD, "JitterEDD": JitterEDD}
     sim = Simulator()
-    sched = _registered(makers[which])
+    sched = _registered(lambda: make_scheduler(which, auto_register=False))
     link = Link(sim, sched, ConstantCapacity(1000.0))
     counters = {"u": 0, "v": 0}
     for t, flow, length in sorted(schedule):

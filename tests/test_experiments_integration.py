@@ -195,7 +195,7 @@ def test_example1_gap_depends_on_tie_breaking():
     """The paper's Example 1 needs its adversarial service order; with
     FIFO tie-breaking WFQ would not reach the full 2x gap — evidence
     that the bound is an 'at least', realized by *some* tie-break."""
-    from repro.core import WFQ, Packet, TieBreak
+    from repro.core import Packet, TieBreak, make_scheduler
     from repro.servers import ConstantCapacity, Link
     from repro.simulation import Simulator
     from repro.analysis.fairness import empirical_fairness_measure
@@ -206,7 +206,7 @@ def test_example1_gap_depends_on_tie_breaking():
         ("fifo", TieBreak.fifo),
     ):
         sim = Simulator()
-        wfq = WFQ(assumed_capacity=2000.0, tie_break=rule)
+        wfq = make_scheduler("WFQ", capacity=2000.0, tie_break=rule)
         wfq.add_flow("f", 1000.0)
         wfq.add_flow("m", 1000.0)
         link = Link(sim, wfq, ConstantCapacity(2000.0))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.drr import DRR
 from repro.core.packet import Packet
-from repro.core.sfq import SFQ
+from repro.core.pifo import SfqRank
 from repro.faults import (
     FlowChurn,
     InvariantViolation,
@@ -24,10 +24,11 @@ from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 from repro.traffic.cbr import BulkSource, CBRSource
 from repro.transport.sink import PacketSink
+from repro.core.registry import make_scheduler
 
 
 def make_link(sim, capacity=1000.0, scheduler=None, name="link"):
-    scheduler = scheduler if scheduler is not None else SFQ()
+    scheduler = scheduler if scheduler is not None else make_scheduler("SFQ")
     return Link(sim, scheduler, ConstantCapacity(capacity), name=name)
 
 
@@ -230,7 +231,7 @@ def test_seeded_outage_is_reproducible():
 # ----------------------------------------------------------------------
 def test_churn_joins_and_removes_flows():
     sim = Simulator()
-    link = make_link(sim, capacity=1e6, scheduler=SFQ(auto_register=False))
+    link = make_link(sim, capacity=1e6, scheduler=make_scheduler("SFQ", auto_register=False))
     link.scheduler.add_flow("base", 1.0)
     CBRSource(sim, "base", link.send, 3e5, 8000).start()
 
@@ -282,7 +283,7 @@ def test_rejoining_flow_restarts_tags_at_current_virtual_time():
     # SFQ's restart rule: after remove_flow/add_flow the tag chain
     # restarts at v(t), not at the flow's stale last finish tag.
     sim = Simulator()
-    scheduler = SFQ(auto_register=False)
+    scheduler = make_scheduler("SFQ", auto_register=False)
     scheduler.add_flow("a", 1.0)
     scheduler.add_flow("b", 1.0)
     link = make_link(sim, scheduler=scheduler)
@@ -373,7 +374,7 @@ def overload_two_flows(sim, link, rate_each):
 
 def test_monitors_stay_clean_on_sfq():
     sim = Simulator()
-    link = make_link(sim, capacity=1000.0, scheduler=SFQ(auto_register=False))
+    link = make_link(sim, capacity=1000.0, scheduler=make_scheduler("SFQ", auto_register=False))
     monitors = install_monitors(link, mode="record")
     overload_two_flows(sim, link, 700.0)  # 1.4x overload
     sim.run(until=60.0)
@@ -384,26 +385,34 @@ def test_monitors_stay_clean_on_sfq():
     assert monitors.fairness.max_gap <= 2 * 1000.0 + 1e-6
 
 
-class StarvingSFQ(SFQ):
-    """Deliberately broken SFQ: flow 'a' always gets start tag 0.
+class StarvingSFQ(SfqRank):
+    """Deliberately broken SFQ rank: flow 'a' always gets start tag 0.
 
     This is the mutation the monitors must catch — 'a' monopolizes the
     link while 'b' starves (fairness), and serving tag 0 after higher
     tags drags v(t) backwards (virtual-time monotonicity).
     """
 
-    def _tag_packet(self, state, packet, now):
+    __slots__ = ()
+
+    name = "StarvingSFQ"
+
+    def rank(self, flow, packet, now):
         if packet.flow != "a":
-            return super()._tag_packet(state, packet, now)
+            return super().rank(flow, packet, now)
         packet.start_tag = 0.0
-        packet.finish_tag = packet.length / state.packet_rate(packet)
+        packet.finish_tag = packet.length / flow.packet_rate(packet)
         return 0.0
+
+
+def _starving_sfq():
+    return make_scheduler("StarvingSFQ", rank_fn=StarvingSFQ, auto_register=False)
 
 
 def test_monitors_fire_on_broken_scheduler():
     sim = Simulator()
     link = make_link(
-        sim, capacity=1000.0, scheduler=StarvingSFQ(auto_register=False)
+        sim, capacity=1000.0, scheduler=_starving_sfq()
     )
     monitors = install_monitors(link, mode="record")
     overload_two_flows(sim, link, 700.0)
@@ -419,7 +428,7 @@ def test_monitors_fire_on_broken_scheduler():
 def test_monitor_raise_mode_aborts_run():
     sim = Simulator()
     link = make_link(
-        sim, capacity=1000.0, scheduler=StarvingSFQ(auto_register=False)
+        sim, capacity=1000.0, scheduler=_starving_sfq()
     )
     install_monitors(link, mode="raise")
     overload_two_flows(sim, link, 700.0)
@@ -455,7 +464,7 @@ def test_virtual_time_monitor_rejects_untagged_scheduler():
 def test_fairness_monitor_infinite_bound_factor_only_measures():
     sim = Simulator()
     link = make_link(
-        sim, capacity=1000.0, scheduler=StarvingSFQ(auto_register=False)
+        sim, capacity=1000.0, scheduler=_starving_sfq()
     )
     monitor = FairnessMonitor(link, mode="raise", bound_factor=float("inf"))
     overload_two_flows(sim, link, 700.0)

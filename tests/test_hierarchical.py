@@ -7,8 +7,6 @@ import pytest
 from repro.core import (
     DRR,
     FIFO,
-    SFQ,
-    DelayEDD,
     HierarchicalScheduler,
     Packet,
     SchedulerError,
@@ -268,3 +266,31 @@ def test_class_bits_served_accounting():
     assert bits["A"] == 1000
     assert bits["root"] == 1000
     assert bits["B"] == 0
+
+
+def test_detach_churn_leaves_no_flow_state():
+    """10_000 attach/enqueue/serve/detach cycles through one leaf: every
+    detach drops the flow's state, and the tags are deterministic."""
+
+    def churn():
+        hs = HierarchicalScheduler()
+        hs.add_class("root", "steady", weight=1.0)
+        hs.add_class("root", "churn", weight=1.0)
+        hs.attach_flow("anchor", "steady", weight=1.0)
+        finishes = []
+        now = 0.0
+        for i in range(10_000):
+            fid = ("churn", i % 7)  # ids recur, like real churn pools
+            hs.attach_flow(fid, "churn", weight=2.0)
+            hs.enqueue(Packet(fid, 1000, seqno=i), now)
+            pkt = hs.dequeue(now)
+            hs.on_service_complete(pkt, now + 0.1)
+            finishes.append(pkt.finish_tag)
+            hs.detach_flow(fid)
+            now += 0.25
+        # Only the anchor remains; the churn leaf holds no flow state.
+        assert len(hs.class_node("churn").scheduler.flows) == 0
+        assert set(hs.class_node("steady").scheduler.flows) == {"anchor"}
+        return finishes
+
+    assert churn() == churn()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FIFO, SFQ, Packet
+from repro.core import FIFO, Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link, PeriodicStall
 from repro.simulation import Simulator
 
@@ -70,7 +70,7 @@ def test_per_flow_buffer_limit():
     sim = Simulator()
     link = Link(
         sim,
-        SFQ(),
+        make_scheduler("SFQ"),
         ConstantCapacity(1000.0),
         per_flow_buffer_packets={"greedy": 1},
     )

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from repro.core import SFQ, HierarchicalScheduler, Packet
-from repro.core.wf2q import WF2Q
+from repro.core import HierarchicalScheduler, Packet, make_scheduler
 from repro.servers import (
     ConstantCapacity,
     GilbertElliottCapacity,
@@ -84,7 +83,7 @@ def test_from_list_average_rate_excludes_trailing_segment():
 def test_wf2q_as_interior_hierarchy_node():
     hs = HierarchicalScheduler()
     hs.add_class(
-        "root", "A", 1.0, scheduler=WF2Q(assumed_capacity=1000.0, auto_register=False)
+        "root", "A", 1.0, scheduler=make_scheduler("WF2Q", capacity=1000.0, auto_register=False)
     )
     hs.add_class("A", "C", 1.0)
     hs.add_class("A", "D", 3.0)
@@ -103,7 +102,7 @@ def test_wf2q_as_interior_hierarchy_node():
 
 
 def test_sfq_inner_heap_stays_clean_after_many_discards():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     for i in range(100):
         sfq.enqueue(Packet("f", 100, seqno=i), 0.0)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import pytest
 
 from tests.helpers import run_schedule, service_order
-from repro.core import FIFO, SCFQ, SFQ, WFQ, Packet
+from repro.core import FIFO, Packet, make_scheduler
 from repro.core.priority import PriorityBands
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
 
 def test_sfq_tags_across_multiple_busy_periods():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 100.0)
     # Busy period 1.
     p0 = Packet("f", 100, seqno=0)
@@ -44,7 +44,7 @@ def test_sfq_and_scfq_diverge_on_fresh_low_rate_arrival():
     schedule = [(0.0, "bulk", 100)] * 30 + [(1.05, "fresh", 100)]
     weights = {"bulk": 90.0, "fresh": 10.0}
     positions = {}
-    for name, sched in (("SFQ", SFQ()), ("SCFQ", SCFQ())):
+    for name, sched in (("SFQ", make_scheduler("SFQ")), ("SCFQ", make_scheduler("SCFQ"))):
         link = run_schedule(sched, ConstantCapacity(100.0), schedule, weights)
         order = service_order(link)
         positions[name] = order.index(("fresh", 0))
@@ -52,7 +52,7 @@ def test_sfq_and_scfq_diverge_on_fresh_low_rate_arrival():
 
 
 def test_wfq_per_packet_rates_respected():
-    wfq = WFQ(assumed_capacity=1000.0)
+    wfq = make_scheduler("WFQ", capacity=1000.0)
     wfq.add_flow("f", 100.0)
     p = Packet("f", 200, seqno=0, rate=400.0)
     wfq.enqueue(p, 0.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FIFO, SFQ, Packet
+from repro.core import FIFO, Packet, make_scheduler
 from repro.network import Network, RoutingError, Switch, Tandem, single_switch_topology
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
@@ -56,7 +56,7 @@ def test_switch_route_to_unknown_port_rejected():
 # Network / topology builder
 # ----------------------------------------------------------------------
 def test_single_switch_topology_wiring():
-    sched = SFQ()
+    sched = make_scheduler("SFQ")
     sched.add_flow("f1", 1.0)
     sched.add_flow("f2", 1.0)
     net = single_switch_topology(sched, ConstantCapacity(1000.0), ["f1", "f2"])
@@ -99,7 +99,7 @@ def test_tandem_forwards_through_all_hops():
 
 def test_tandem_per_hop_tags_are_fresh():
     sim = Simulator()
-    scheds = [SFQ(), SFQ()]
+    scheds = [make_scheduler("SFQ"), make_scheduler("SFQ")]
     tandem = Tandem(sim, scheds, [ConstantCapacity(1000.0)] * 2)
     sim.at(0.0, lambda: tandem.ingress(Packet("f", 100, seqno=0)))
     sim.run()

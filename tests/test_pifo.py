@@ -1,13 +1,16 @@
 """The PIFO rank-function core: engine, SP-PIFO bands, registry v2.
 
 The trace-equivalence suite already pins every discipline built through
-``make_scheduler`` to the frozen seed cores; this module covers the new
-surface the PIFO redesign added on top:
+``make_scheduler`` to the frozen seed cores; this module covers the
+engine's own surface on top:
 
-* constructing the engines **directly** — ``PifoScheduler(SfqRank())``
-  and ``ArrayPifoScheduler(SfqRank())`` — must be byte-identical to the
-  registry-built discipline and therefore to the frozen legacy cores
-  (the registry adds convenience, not behavior);
+* constructing the engine **directly** — ``PifoScheduler(SfqRank())`` —
+  must be byte-identical to the registry-built discipline and therefore
+  to the frozen legacy cores (the registry adds convenience, not
+  behavior);
+* the flow-head heap: ``debug_checks`` catches a FIFO/heap divergence
+  and is off by default; tie-break rules order ties exactly as the seed
+  core does;
 * ``SpPifoScheduler`` — determinism, the ``bands=None``/``bands=0``
   exact degenerate case, push-up/push-down bound adaptation, and the
   inversion/unpifoness accounting;
@@ -15,7 +18,7 @@ surface the PIFO redesign added on top:
   disciplines (the ten-line demo below), ``list_schedulers`` and
   ``describe_scheduler``;
 * ``LSTF`` — the least-slack-time-first seed for the roadmap's
-  programmable-scheduling item.
+  programmable-scheduling item, including its idle-only slack changes.
 """
 
 from __future__ import annotations
@@ -23,17 +26,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
-    LSTF,
     Packet,
+    TieBreak,
     describe_scheduler,
     list_schedulers,
     make_scheduler,
 )
-from repro.core.arrayheap import ArrayPifoScheduler
 from repro.core.base import SchedulerError
 from repro.core.pifo import (
     DelayEddRank,
     FqsRank,
+    LstfRank,
     PifoScheduler,
     RankFn,
     ScfqRank,
@@ -44,8 +47,10 @@ from repro.core.pifo import (
     WfqRank,
 )
 
+from tests.reference.legacy_cores import LegacySFQ
 from tests.test_trace_equivalence import (
     CAPACITY,
+    ENGINE_VARIANTS,
     WEIGHTS,
     _edd_setup,
     run_trace,
@@ -66,30 +71,102 @@ RANKS = {
     "DelayEDD": lambda: DelayEddRank(),
 }
 
-ENGINES = {"object": PifoScheduler, "array": ArrayPifoScheduler}
-
-
-@pytest.mark.parametrize("backend", sorted(ENGINES))
+@pytest.mark.parametrize("variant", sorted(ENGINE_VARIANTS))
 @pytest.mark.parametrize("name", sorted(RANKS))
-def test_direct_engine_matches_registry(name, backend):
+def test_direct_engine_matches_registry(name, variant):
     # A hand-built engine (rank function passed explicitly) must
     # produce the same trace as the registry-built discipline: the
     # SchedulerSpec machinery adds no behavior of its own.
     setup = _edd_setup if name == "DelayEDD" else None
-    engine_cls = ENGINES[backend]
-    direct = run_trace(lambda: engine_cls(RANKS[name]()), setup, "figure1")
+    options = ENGINE_VARIANTS[variant]
+    direct = run_trace(
+        lambda: PifoScheduler(RANKS[name](), **options), setup, "figure1"
+    )
     kwargs = {"capacity": CAPACITY} if RANKS[name]().needs_capacity else {}
     via_registry = run_trace(
-        lambda: make_scheduler(name, backend=backend, **kwargs), setup, "figure1"
+        lambda: make_scheduler(name, **kwargs, **options), setup, "figure1"
     )
     assert direct == via_registry
 
 
 def test_engine_forwards_rank_exports():
     sched = PifoScheduler(SfqRank())
+    assert sched.algorithm == "SFQ"  # the rank's name
     assert sched.virtual_time == 0.0  # forwarded from the rank
     with pytest.raises(AttributeError):
         sched.no_such_attribute
+
+
+# ----------------------------------------------------------------------
+# The flow-head heap: debug_checks and tie-breaking
+# ----------------------------------------------------------------------
+
+
+def _drain(sched, now=0.0, dt=0.001):
+    out = []
+    while True:
+        pkt = sched.dequeue(now)
+        if pkt is None:
+            return out
+        now += dt
+        sched.on_service_complete(pkt, now)
+        out.append((pkt.flow, pkt.seqno))
+
+
+def test_debug_checks_detect_queue_heap_divergence():
+    sched = make_scheduler("SFQ", auto_register=False, debug_checks=True)
+    sched.add_flow("a", 1.0)
+    sched.add_flow("b", 1.0)
+    sched.enqueue(Packet("a", 500, seqno=0), 0.0)
+    sched.enqueue(Packet("a", 500, seqno=1), 0.0)
+    sched.enqueue(Packet("b", 500, seqno=0), 0.0)
+    # Corrupt the FIFO behind the heap's back: the queue head no longer
+    # matches the packet the heap entry was built for.
+    sched.flows["a"].queue.popleft()
+    with pytest.raises(SchedulerError, match="head"):
+        _drain(sched)
+
+
+def test_debug_checks_off_is_default_and_quiet():
+    sched = make_scheduler("SFQ", auto_register=False)
+    assert sched.debug_checks is False
+    sched.add_flow("a", 1.0)
+    sched.enqueue(Packet("a", 500, seqno=0), 0.0)
+    assert _drain(sched) == [("a", 0)]
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [TieBreak.fifo, TieBreak.lowest_weight_first,
+     TieBreak.highest_weight_first, TieBreak.shortest_packet_first],
+)
+def test_tie_break_order_matches_seed(rule):
+    """Equal start tags, distinct weights/lengths: the flow-head heap
+    must order ties exactly as the seed's packet heap does (the tie key,
+    then packet uid — never the payload slots)."""
+    def build(sched):
+        for i, w in enumerate([4.0, 1.0, 2.0, 8.0]):
+            sched.add_flow(f"f{i}", w)
+        # All enqueued at t=0 on idle flows: every start tag is v(0)=0,
+        # a four-way tie decided entirely by the rule.
+        for i, length in enumerate([400, 800, 200, 800]):
+            sched.enqueue(Packet(f"f{i}", length, seqno=0), 0.0)
+        return sched
+
+    engine = build(make_scheduler("SFQ", tie_break=rule, auto_register=False))
+    seed = build(LegacySFQ(tie_break=rule, auto_register=False))
+    assert _drain(engine) == _drain(seed)
+
+
+def test_fifo_ties_resolve_by_uid_order():
+    sched = make_scheduler("SFQ", auto_register=False)
+    for i in range(3):
+        sched.add_flow(f"f{i}", 1.0)
+    # Same weight, same length, same instant: FIFO rule -> uid order,
+    # which is construction order.
+    for i in (2, 0, 1):
+        sched.enqueue(Packet(f"f{i}", 500, seqno=0), 0.0)
+    assert [f for f, _ in _drain(sched)] == ["f2", "f0", "f1"]
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +179,7 @@ def test_custom_rank_fn_in_ten_lines():
     class SpfRank(RankFn):                                       # 1
         def rank(self, flow, packet, now):                       # 2
             packet.start_tag = float(packet.length)              # 3
-            return packet.start_tag, ()                          # 4
+            return packet.start_tag                              # 4
         def head_key(self, packet):                              # 5
             return packet.start_tag                              # 6
     try:
@@ -129,7 +206,7 @@ def test_rank_fn_name_collision_rejected():
     # An ad-hoc rank may not silently shadow a built-in discipline.
     class Impostor(RankFn):
         def rank(self, flow, packet, now):
-            return 0.0, ()
+            return 0.0
 
     with pytest.raises(TypeError):
         make_scheduler("SFQ", rank_fn=Impostor)
@@ -261,10 +338,31 @@ def test_lstf_orders_by_remaining_slack():
 
 
 def test_lstf_class_is_pifo_engine():
-    sched = LSTF(default_slack=0.25)
+    sched = make_scheduler("LSTF", default_slack=0.25)
+    assert isinstance(sched, PifoScheduler)
+    assert isinstance(sched.rank_fn, LstfRank)
     sched.enqueue(Packet("a", 400, seqno=0), now=0.0)
     # Slack accrues from arrival: deadline = arrival + slack.
     assert sched.dequeue(0.0).deadline == pytest.approx(0.25)
+
+
+def test_lstf_rejects_slack_change_on_backlogged_flow():
+    # Shrinking a backlogged flow's slack would rank its next packet
+    # below its queued head (A1 deadline 0.11 behind A0's 1.0), a silent
+    # inversion the flow-head heap cannot see. It must be refused.
+    sched = make_scheduler("LSTF")
+    sched.set_slack("A", 1.0)
+    sched.set_slack("B", 0.5)
+    sched.enqueue(Packet("A", 800, seqno=0), now=0.0)
+    sched.enqueue(Packet("B", 800, seqno=0), now=0.0)
+    with pytest.raises(SchedulerError, match="backlogged"):
+        sched.set_slack("A", 0.01)
+    assert sched.slacks["A"] == 1.0
+    assert [sched.dequeue(0.0).flow for _ in range(2)] == ["B", "A"]
+    # Once idle, the flow may take a new slack.
+    sched.set_slack("A", 0.01)
+    sched.enqueue(Packet("A", 800, seqno=1), now=0.1)
+    assert sched.dequeue(0.1).deadline == pytest.approx(0.11)
 
 
 # ----------------------------------------------------------------------

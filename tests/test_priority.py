@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FIFO, SFQ, Packet
+from repro.core import FIFO, Packet, make_scheduler
 from repro.core.base import SchedulerError
 from repro.core.priority import PriorityBands
 from repro.servers import ConstantCapacity, Link
@@ -12,7 +12,7 @@ from repro.simulation import Simulator
 
 
 def make_two_band():
-    bands = PriorityBands([FIFO(auto_register=False), SFQ(auto_register=False)])
+    bands = PriorityBands([FIFO(auto_register=False), make_scheduler("SFQ", auto_register=False)])
     bands.assign_flow("hi", 0, weight=1.0)
     bands.assign_flow("lo1", 1, weight=1.0)
     bands.assign_flow("lo2", 1, weight=1.0)

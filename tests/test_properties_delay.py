@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.delay_bounds import expected_arrival_times, sfq_delay_bound
-from repro.core import FIFO, SCFQ, SFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
@@ -39,7 +39,7 @@ def test_theorem4_random_admissible_workloads(specs, horizon):
     specs = [(rate * scale, length, burst) for rate, length, burst in specs]
 
     sim = Simulator()
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     for i, (rate, _length, _burst) in enumerate(specs):
         sfq.add_flow(f"f{i}", rate)
     link = Link(sim, sfq, ConstantCapacity(CAPACITY))
@@ -95,7 +95,7 @@ def test_theorem2_random_fc_servers(weights, phase):
     capacity = TwoRateSquareWave(2 * CAPACITY, phase, 0.0, phase)
 
     sim = Simulator()
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     for i, rate in enumerate(rates):
         sfq.add_flow(f"f{i}", rate)
     link = Link(sim, sfq, capacity)
@@ -132,8 +132,7 @@ discard_schedule = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(schedule=discard_schedule, which=st.sampled_from(["SFQ", "SCFQ", "FIFO"]))
 def test_discard_tail_preserves_invariants(schedule, which):
-    makers = {"SFQ": SFQ, "SCFQ": SCFQ, "FIFO": FIFO}
-    sched = makers[which]()
+    sched = make_scheduler(which)
     sched.add_flow("a", 100.0)
     sched.add_flow("b", 200.0)
     alive = {"a": [], "b": []}

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HierarchicalScheduler, Packet
-from repro.core.wf2q import WF2Q
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
+from repro.core.registry import make_scheduler
 
 # Random two-level trees: root -> classes -> flows.
 tree_shapes = st.lists(
@@ -92,7 +92,7 @@ def test_hierarchy_class_accounting_consistent(shape, schedule):
 @given(schedule=arrivals)
 def test_wf2q_conservation(schedule):
     sim = Simulator()
-    sched = WF2Q(assumed_capacity=1000.0)
+    sched = make_scheduler("WF2Q", capacity=1000.0)
     sched.add_flow("f", 500.0)
     sched.add_flow("m", 250.0)
     link = Link(sim, sched, ConstantCapacity(1000.0))

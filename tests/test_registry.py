@@ -5,24 +5,21 @@
 * ``capacity`` follows the uniform-ladder contract (required by
   rate-proportional disciplines, accepted-and-ignored elsewhere);
 * the ``auto_register`` default is normalized to True for *every*
-  discipline (the raw ``DelayEDD``/``JitterEDD`` constructors default
-  False — the registry removes that inconsistency);
+  discipline (the raw ``JitterEDD`` constructor defaults False — the
+  registry removes that inconsistency);
 * unknown names/params fail with the errors a CLI user should see;
-* the pre-registry ``fault_tolerance._make_scheduler`` shim warns;
 * and a lint-style sweep asserts ``make_scheduler`` is the only
   construction path left in ``src/repro/experiments`` and ``examples``.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import pytest
 
-from repro import available_schedulers, make_scheduler, scheduler_spec
-from repro.core import ALGORITHMS, Packet, Scheduler
-from repro.core.delay_edd import DelayEDD
+from repro import available_schedulers, list_schedulers, make_scheduler, scheduler_spec
+from repro.core import JitterEDD, Packet, Scheduler
 from repro.core.registry import ParamSpec, SchedulerSpec, register_scheduler
 
 CAPACITY = 1e6
@@ -45,19 +42,23 @@ def test_available_schedulers_cover_the_comparison_ladder():
     }
 
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(list_schedulers()))
 def test_make_scheduler_round_trips_every_name(name):
     spec = scheduler_spec(name)
-    assert spec.cls is ALGORITHMS[name]
     sched = make_scheduler(name, capacity=CAPACITY)
     assert isinstance(sched, spec.cls)
     assert isinstance(sched, Scheduler)
+    if spec.rank_fn is not None:
+        # Tag disciplines are the engine plus the spec's rank function.
+        assert isinstance(sched.rank_fn, spec.rank_fn)
+    # Band-engine specs report the engine; everything else its own name.
+    assert sched.algorithm == ("SP-PIFO" if spec.bands is not None else name)
     # Case-insensitive lookup resolves to the same spec.
     assert scheduler_spec(name.lower()) is spec
     assert isinstance(make_scheduler(name.lower(), capacity=CAPACITY), spec.cls)
 
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(list_schedulers()))
 def test_every_discipline_serves_a_registered_flow(name):
     sched = make_scheduler(name, capacity=CAPACITY)
     if hasattr(sched, "add_flow_with_deadline"):
@@ -104,7 +105,7 @@ def test_discipline_params_pass_through():
 
 def test_auto_register_default_is_normalized():
     # Raw constructors disagree (the inconsistency the registry fixes):
-    assert DelayEDD().auto_register is False
+    assert JitterEDD().auto_register is False
     # Through the registry, every discipline defaults to True ...
     for name in available_schedulers():
         sched = make_scheduler(name, capacity=CAPACITY)
@@ -145,22 +146,13 @@ def test_register_scheduler_extends_the_registry():
         registry._ALIASES.pop("unittesttoy", None)
 
 
-def test_fault_tolerance_shim_warns_and_delegates():
-    from repro.core.wfq import WFQ
-    from repro.experiments.fault_tolerance import _make_scheduler
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sched = _make_scheduler("WFQ")
-    assert any(w.category is DeprecationWarning for w in caught)
-    assert isinstance(sched, WFQ)
-
-
 # ----------------------------------------------------------------------
 # Lint-style sweep: the registry is the only construction path
 # ----------------------------------------------------------------------
 
-_CONSTRUCTORS = frozenset(ALGORITHMS) | {"WF2Q"}
+_CONSTRUCTORS = frozenset(
+    {scheduler_spec(name).cls.__name__ for name in list_schedulers()}
+)
 
 
 def _violations(root: Path):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import RandomStreams, Simulator
 from repro.traffic import PoissonSource, VBRVideoSource
@@ -80,7 +80,7 @@ def test_vbr_frame_sizes_snapshot():
 
 def test_sfq_tag_snapshot_mixed_workload():
     sim = Simulator()
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("a", 100.0)
     sfq.add_flow("b", 300.0)
     link = Link(sim, sfq, ConstantCapacity(400.0))

@@ -6,7 +6,7 @@ import pytest
 
 from tests.helpers import drive_greedy, run_schedule, service_order
 from repro.analysis.fairness import empirical_fairness_measure, scfq_fairness_bound
-from repro.core import SCFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.servers import ConstantCapacity, TwoRateSquareWave
 
 
@@ -14,7 +14,7 @@ def test_schedules_in_finish_tag_order():
     # A blocker occupies the server while a and b queue up; then SCFQ
     # must pick b (F=5) before a (F=10) despite a arriving first.
     link = run_schedule(
-        SCFQ(),
+        make_scheduler("SCFQ"),
         ConstantCapacity(100.0),
         [(0.0, "z", 100), (0.0, "a", 1000), (0.0, "b", 500)],
         weights={"z": 100.0, "a": 100.0, "b": 100.0},
@@ -23,7 +23,7 @@ def test_schedules_in_finish_tag_order():
 
 
 def test_virtual_time_is_finish_tag_of_packet_in_service():
-    scfq = SCFQ()
+    scfq = make_scheduler("SCFQ")
     scfq.add_flow("f", 100.0)
     scfq.enqueue(Packet("f", 200, seqno=0), 0.0)
     p = scfq.dequeue(0.0)
@@ -31,7 +31,7 @@ def test_virtual_time_is_finish_tag_of_packet_in_service():
 
 
 def test_arrival_during_service_starts_at_v():
-    scfq = SCFQ()
+    scfq = make_scheduler("SCFQ")
     scfq.add_flow("a", 100.0)
     scfq.add_flow("b", 100.0)
     scfq.enqueue(Packet("a", 200, seqno=0), 0.0)
@@ -45,7 +45,7 @@ def test_arrival_during_service_starts_at_v():
 
 def test_weighted_shares():
     link = drive_greedy(
-        SCFQ(),
+        make_scheduler("SCFQ"),
         ConstantCapacity(3000.0),
         [("a", 1000.0, 100, 600), ("b", 2000.0, 100, 600)],
         until=10.0,
@@ -57,7 +57,7 @@ def test_weighted_shares():
 
 def test_fairness_bound_holds_on_variable_rate():
     link = drive_greedy(
-        SCFQ(),
+        make_scheduler("SCFQ"),
         TwoRateSquareWave(4000.0, 1.0, 0.0, 1.0),
         [("f", 1000.0, 400, 200), ("m", 500.0, 250, 200)],
     )
@@ -68,11 +68,9 @@ def test_fairness_bound_holds_on_variable_rate():
 def test_scfq_delays_low_rate_flow_more_than_sfq():
     """The paper's core SCFQ critique: a freshly backlogged low-rate
     flow waits ~l/r under SCFQ vs ~l/C under SFQ."""
-    from repro.core import SFQ
-
     schedule = [(0.0, "big", 100)] * 50 + [(2.05, "slow", 100)]
     delays = {}
-    for name, sched in (("SCFQ", SCFQ()), ("SFQ", SFQ())):
+    for name, sched in (("SCFQ", make_scheduler("SCFQ")), ("SFQ", make_scheduler("SFQ"))):
         link = run_schedule(
             sched,
             ConstantCapacity(100.0),
@@ -85,7 +83,7 @@ def test_scfq_delays_low_rate_flow_more_than_sfq():
 
 
 def test_peek_matches_dequeue():
-    scfq = SCFQ()
+    scfq = make_scheduler("SCFQ")
     scfq.add_flow("a", 1.0)
     scfq.enqueue(Packet("a", 100, seqno=0), 0.0)
     assert scfq.dequeue(0.0) is not None

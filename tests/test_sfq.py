@@ -6,12 +6,12 @@ import pytest
 
 from tests.helpers import drive_greedy, run_schedule, service_order
 from repro.analysis.fairness import empirical_fairness_measure, sfq_fairness_bound
-from repro.core import SFQ, Packet, SchedulerError, TieBreak
+from repro.core import Packet, SchedulerError, TieBreak, make_scheduler
 from repro.servers import ConstantCapacity, TwoRateSquareWave
 
 
 def test_tags_follow_equations_4_and_5():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 100.0)
     p1 = Packet("f", 200, seqno=0)
     sfq.enqueue(p1, 0.0)
@@ -26,7 +26,7 @@ def test_tags_follow_equations_4_and_5():
 
 
 def test_virtual_time_is_start_tag_of_packet_in_service():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 100.0)
     sfq.enqueue(Packet("f", 200, seqno=0), 0.0)
     sfq.enqueue(Packet("f", 200, seqno=1), 0.0)
@@ -39,7 +39,7 @@ def test_virtual_time_is_start_tag_of_packet_in_service():
 
 
 def test_virtual_time_jumps_to_max_finish_at_busy_period_end():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 100.0)
     sfq.enqueue(Packet("f", 200, seqno=0), 0.0)
     p = sfq.dequeue(0.0)
@@ -53,7 +53,7 @@ def test_virtual_time_jumps_to_max_finish_at_busy_period_end():
 
 
 def test_arrival_during_service_tagged_with_current_v():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("a", 100.0)
     sfq.add_flow("b", 100.0)
     sfq.enqueue(Packet("a", 500, seqno=0), 0.0)
@@ -68,7 +68,7 @@ def test_arrival_during_service_tagged_with_current_v():
 
 def test_schedules_in_start_tag_order():
     link = run_schedule(
-        SFQ(),
+        make_scheduler("SFQ"),
         ConstantCapacity(100.0),
         # a's two big packets get S=0 and S=10; b's packet at t=0 gets S=0.
         [(0.0, "a", 1000), (0.0, "a", 1000), (0.0, "b", 500)],
@@ -81,7 +81,7 @@ def test_schedules_in_start_tag_order():
 
 def test_weighted_bandwidth_shares():
     link = drive_greedy(
-        SFQ(),
+        make_scheduler("SFQ"),
         ConstantCapacity(3000.0),
         [("a", 1000.0, 100, 600), ("b", 2000.0, 100, 600)],
         until=10.0,
@@ -92,7 +92,7 @@ def test_weighted_bandwidth_shares():
 
 
 def test_theorem1_fairness_bound_constant_rate():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     link = drive_greedy(
         sfq,
         ConstantCapacity(2000.0),
@@ -106,7 +106,7 @@ def test_theorem1_fairness_bound_constant_rate():
 def test_theorem1_fairness_bound_variable_rate():
     # Theorem 1 makes no assumption about the server: check on a square
     # wave that stalls completely half the time.
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     link = drive_greedy(
         sfq,
         TwoRateSquareWave(4000.0, 1.0, 0.0, 1.0),
@@ -121,7 +121,7 @@ def test_late_joiner_not_penalized():
     # A flow that joins late must immediately get its share (the
     # variable-rate fairness property WFQ lacks; cf. Example 2).
     link = run_schedule(
-        SFQ(),
+        make_scheduler("SFQ"),
         ConstantCapacity(1000.0),
         [(0.0, "a", 100)] * 200 + [(10.0, "b", 100)] * 100,
         weights={"a": 1.0, "b": 1.0},
@@ -133,7 +133,7 @@ def test_late_joiner_not_penalized():
 
 def test_per_packet_rate_generalization():
     # eq. 36: a packet may carry its own rate.
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 100.0)
     p = Packet("f", 200, seqno=0, rate=400.0)
     sfq.enqueue(p, 0.0)
@@ -141,7 +141,7 @@ def test_per_packet_rate_generalization():
 
 
 def test_tie_break_lowest_weight_first():
-    sfq = SFQ(tie_break=TieBreak.lowest_weight_first)
+    sfq = make_scheduler("SFQ", tie_break=TieBreak.lowest_weight_first)
     sfq.add_flow("heavy", 1000.0)
     sfq.add_flow("light", 10.0)
     # Both arrive fresh: S = 0 for both -> tie; light must win.
@@ -151,7 +151,7 @@ def test_tie_break_lowest_weight_first():
 
 
 def test_peek_matches_dequeue():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("a", 1.0)
     sfq.add_flow("b", 1.0)
     sfq.enqueue(Packet("a", 100, seqno=0), 0.0)
@@ -161,11 +161,11 @@ def test_peek_matches_dequeue():
 
 
 def test_empty_dequeue_returns_none():
-    assert SFQ().dequeue(0.0) is None
+    assert make_scheduler("SFQ").dequeue(0.0) is None
 
 
 def test_backlog_accounting():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.enqueue(Packet("f", 100, seqno=0), 0.0)
     sfq.enqueue(Packet("f", 200, seqno=1), 0.0)
@@ -177,19 +177,19 @@ def test_backlog_accounting():
 
 
 def test_auto_register_uses_default_weight():
-    sfq = SFQ(auto_register=True, default_weight=5.0)
+    sfq = make_scheduler("SFQ", auto_register=True, default_weight=5.0)
     sfq.enqueue(Packet("new", 100, seqno=0), 0.0)
     assert sfq.flows["new"].weight == 5.0
 
 
 def test_no_auto_register_raises():
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     with pytest.raises(SchedulerError):
         sfq.enqueue(Packet("unknown", 100), 0.0)
 
 
 def test_virtual_time_monotone_under_interleaving():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("a", 10.0)
     sfq.add_flow("b", 20.0)
     vs = []

@@ -1,21 +1,23 @@
-"""Same-stimulus trace equivalence: optimized cores vs frozen seed cores.
+"""Same-stimulus trace equivalence: the PIFO engine vs frozen seed cores.
 
-The flow-head-heap rewrite (``repro.core.headheap``) claims to be a pure
-performance change: for every tag scheduler, the sequence of scheduling
-decisions — and therefore every packet's (arrival, start-of-service,
-departure, dropped) trace — must be identical to the seed
-implementation's, packet for packet, bit for bit.
+The flow-head-heap PIFO engine (``repro.core.pifo.PifoScheduler``)
+claims to be a pure performance change over the seed's per-discipline
+cores: for every tag scheduler, the sequence of scheduling decisions —
+and therefore every packet's (arrival, start-of-service, departure,
+dropped) trace — must be identical to the seed implementation's, packet
+for packet, bit for bit.
 
-This suite drives the optimized scheduler and its frozen seed copy
+This suite drives the engine and the frozen seed copy
 (``tests/reference/legacy_cores.py``) through the *same* deterministic
 workload on the real ``Simulator`` + ``Link`` stack and compares the
-full trace record streams for exact equality. The optimized side is
-constructed through ``make_scheduler`` and parametrized over **both
-backends** — ``"object"`` (per-flow FlowState, ``repro.core.headheap``)
-and ``"array"`` (struct-of-arrays slab + int-keyed heap,
-``repro.core.arrayheap``) — so the slab layout is held to the same
-byte-identical standard as the original head-heap rewrite. Workloads
-are shaped after the paper's experiments:
+full trace record streams for exact equality. The engine side is
+constructed through ``make_scheduler`` under every event queue and in
+two variants, :data:`ENGINE_VARIANTS`: ``object`` is the default engine
+and ``array`` the same engine with ``debug_checks=True``, so every
+workload also re-verifies the flow-head-heap invariant on each dequeue.
+(The variant ids are the names of the two storage backends this suite
+compared before they were merged into one engine; keeping them keeps the
+case ids stable.) Workloads are shaped after the paper's experiments:
 
 * ``table1``   — two flows, the second joining mid-busy-period
   (Table 1's f/m throughput split);
@@ -177,7 +179,7 @@ WORKLOADS = {
 
 
 # ----------------------------------------------------------------------
-# Scheduler pairs (optimized factory by backend, legacy factory)
+# Scheduler pairs (engine factory by variant, legacy factory)
 # ----------------------------------------------------------------------
 def _edd_setup(sched, flow_ids):
     for fid in flow_ids:
@@ -185,17 +187,17 @@ def _edd_setup(sched, flow_ids):
 
 
 def _opt(name, **kwargs):
-    """Optimized-side factory: registry construction, backend-selectable."""
+    """Engine-side factory: registry construction, per engine variant."""
 
-    def factory(backend):
-        return make_scheduler(name, backend=backend, **kwargs)
+    def factory(variant):
+        return make_scheduler(name, **kwargs, **ENGINE_VARIANTS[variant])
 
     return factory
 
 
-# Since the PIFO core every tag discipline, DelayEDD included, has a
-# real array variant (a rank function on ArrayPifoScheduler); both
-# backends must stay byte-identical to the frozen legacy cores.
+#: Engine variant -> extra make_scheduler options (see module docstring).
+ENGINE_VARIANTS = {"object": {}, "array": {"debug_checks": True}}
+
 SCHEDULERS = {
     "SFQ": (_opt("SFQ"), lambda: LegacySFQ(), None),
     "SCFQ": (_opt("SCFQ"), lambda: LegacySCFQ(), None),
@@ -205,8 +207,6 @@ SCHEDULERS = {
     "VirtualClock": (_opt("VirtualClock"), lambda: LegacyVirtualClock(), None),
     "DelayEDD": (_opt("DelayEDD"), lambda: LegacyDelayEDD(), _edd_setup),
 }
-
-BACKENDS = ("object", "array")
 
 #: Event-queue backends the optimized side must be byte-identical under.
 #: The seed side always runs on the default binary heap, so each case
@@ -265,20 +265,20 @@ def _combos():
 
 
 @pytest.mark.parametrize("eventq", EVENT_QUEUE_BACKENDS)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", tuple(ENGINE_VARIANTS))
 @pytest.mark.parametrize("sched_name,wl_name", list(_combos()))
-def test_trace_equivalence(sched_name, wl_name, backend, eventq):
+def test_trace_equivalence(sched_name, wl_name, variant, eventq):
     new_factory, legacy_factory, setup = SCHEDULERS[sched_name]
     # DelayEDD churn: auto-registered flows need deadlines; skip handled
     # in _combos. Everything else must match record-for-record.
     optimized = run_trace(
-        lambda: new_factory(backend), setup, wl_name, event_queue=eventq
+        lambda: new_factory(variant), setup, wl_name, event_queue=eventq
     )
     legacy = run_trace(legacy_factory, setup, wl_name)
     assert len(optimized) == len(legacy)
     for i, (new_rec, old_rec) in enumerate(zip(optimized, legacy)):
         assert new_rec == old_rec, (
-            f"{sched_name}[{backend}]/{wl_name}/{eventq}: record {i} diverged:\n"
+            f"{sched_name}[{variant}]/{wl_name}/{eventq}: record {i} diverged:\n"
             f"  optimized: {new_rec}\n  seed:      {old_rec}"
         )
 

@@ -6,14 +6,13 @@ import pytest
 
 from tests.helpers import drive_greedy, run_schedule, service_order
 from repro.analysis.fairness import empirical_fairness_measure, sfq_fairness_bound
-from repro.core import Packet
-from repro.core.wf2q import WF2Q
+from repro.core import Packet, make_scheduler
 from repro.servers import ConstantCapacity
 
 
 def test_wf2q_weighted_shares():
     link = drive_greedy(
-        WF2Q(assumed_capacity=3000.0),
+        make_scheduler("WF2Q", capacity=3000.0),
         ConstantCapacity(3000.0),
         [("a", 1000.0, 100, 600), ("b", 2000.0, 100, 600)],
         until=10.0,
@@ -27,7 +26,7 @@ def test_wf2q_eligibility_blocks_ahead_of_schedule_packets():
     """WF2Q's defining behaviour: a flow's *second* packet is not
     eligible until the fluid system would have started it, even if its
     finish tag is the global minimum."""
-    wf2q = WF2Q(assumed_capacity=100.0)
+    wf2q = make_scheduler("WF2Q", capacity=100.0)
     wf2q.add_flow("fast", 90.0)
     wf2q.add_flow("slow", 10.0)
     # Both flows burst at t=0. fast's packets: S=0,F=1.11; S=1.11,F=2.22...
@@ -45,9 +44,7 @@ def test_wf2q_eligibility_blocks_ahead_of_schedule_packets():
 
 
 def test_wfq_would_reorder_where_wf2q_does_not():
-    from repro.core import WFQ
-
-    wfq = WFQ(assumed_capacity=100.0)
+    wfq = make_scheduler("WFQ", capacity=100.0)
     wfq.add_flow("fast", 90.0)
     wfq.add_flow("slow", 10.0)
     for i in range(3):
@@ -59,7 +56,7 @@ def test_wfq_would_reorder_where_wf2q_does_not():
 
 def test_wf2q_fairness_within_sfq_bound_constant_rate():
     link = drive_greedy(
-        WF2Q(assumed_capacity=2000.0),
+        make_scheduler("WF2Q", capacity=2000.0),
         ConstantCapacity(2000.0),
         [("f", 1000.0, 400, 200), ("m", 500.0, 250, 200)],
     )
@@ -72,7 +69,7 @@ def test_wf2q_work_conserving_fallback():
     # servable before the fluid system reaches them; the scheduler must
     # still hand one out (never idle while backlogged).
     link = drive_greedy(
-        WF2Q(assumed_capacity=100.0),  # 10x slower than reality
+        make_scheduler("WF2Q", capacity=100.0),  # 10x slower than reality
         ConstantCapacity(1000.0),
         [("a", 50.0, 100, 50), ("b", 50.0, 100, 50)],
     )
@@ -84,7 +81,7 @@ def test_wf2q_work_conserving_fallback():
 
 def test_wf2q_per_flow_fifo():
     link = run_schedule(
-        WF2Q(assumed_capacity=1000.0),
+        make_scheduler("WF2Q", capacity=1000.0),
         ConstantCapacity(1000.0),
         [(0.0, "a", 100), (0.1, "a", 300), (0.2, "a", 200)],
         weights={"a": 1000.0},
@@ -93,7 +90,7 @@ def test_wf2q_per_flow_fifo():
 
 
 def test_wf2q_peek_matches_dequeue():
-    wf2q = WF2Q(assumed_capacity=100.0)
+    wf2q = make_scheduler("WF2Q", capacity=100.0)
     wf2q.add_flow("a", 50.0)
     wf2q.add_flow("b", 50.0)
     wf2q.enqueue(Packet("a", 100, seqno=0), 0.0)
