@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Opt-in compiled build of the hot pure-Python modules.
+"""Opt-in compiled build of the hot pure-Python tag arithmetic.
 
-Compiles ``repro.core.tagmath`` and ``repro.simulation.eventq`` to C
-extensions with mypyc, placing the resulting shared objects next to
-their source files so the import system prefers them transparently
-(`foo.cpython-*.so` shadows `foo.py` on import). Nothing in the repo
-*requires* this: the pure-Python modules are the reference
-implementation, every test passes without a compiler, and the
-compiled form is gated by the same trace-equivalence suite.
+Compiles ``repro.core.tagmath`` to a C extension with mypyc, placing
+the resulting shared object next to its source file so the import
+system prefers it transparently (`foo.cpython-*.so` shadows `foo.py` on
+import). Nothing in the repo *requires* this: the pure-Python module is
+the reference implementation, every test passes without a compiler,
+and the compiled form is gated by the same trace-equivalence suite.
 
 Usage::
 
@@ -32,12 +31,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Modules compiled, by design, in dependency-free isolation: both are
-#: leaves (tagmath imports nothing from repro; eventq only stdlib), so
-#: mypyc never needs to follow imports into the uncompiled package.
+#: Modules compiled, by design, in dependency-free isolation: tagmath
+#: is a leaf (it imports nothing from repro), so mypyc never needs to
+#: follow imports into the uncompiled package.
 TARGETS = [
     SRC / "repro" / "core" / "tagmath.py",
-    SRC / "repro" / "simulation" / "eventq.py",
 ]
 
 

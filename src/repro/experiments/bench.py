@@ -113,9 +113,7 @@ def bench_dispatch(ops: int, repeats: int) -> Dict[str, dict]:
             return _dispatch_seconds(sim, sim.at, ops, pending)
 
         def fast_run() -> float:
-            # Optimized configuration selects the calendar event queue
-            # explicitly.
-            sim = Simulator(event_queue="calendar")
+            sim = Simulator()
             return _dispatch_seconds(sim, sim.call_at, ops, pending)
 
         seed = _best_of(seed_run, repeats) / ops
@@ -169,10 +167,10 @@ def bench_pipeline(packets_per_flow: int, repeats: int) -> dict:
 
     def fast_run() -> float:
         # Optimized configuration with tracing disabled (the opt-in
-        # zero-cost path): PIFO-engine SFQ + calendar event queue +
-        # engine fast loop with busy-period timer elision.
+        # zero-cost path): PIFO-engine SFQ + the engine's fast loop
+        # with busy-period timer elision.
         return _pipeline_seconds(
-            lambda: Simulator(event_queue="calendar"),
+            Simulator,
             lambda: make_scheduler("SFQ", auto_register=False),
             NullTracer(),
             packets_per_flow,
@@ -539,7 +537,7 @@ def profile_pipeline(
     profiler = cProfile.Profile()
     profiler.enable()
     _pipeline_seconds(
-        lambda: Simulator(event_queue="calendar"),
+        Simulator,
         lambda: make_scheduler("SFQ", auto_register=False),
         NullTracer(),
         packets_per_flow,

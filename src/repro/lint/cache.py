@@ -29,7 +29,7 @@ from repro.lint.findings import Finding
 __all__ = ["AnalysisCache", "ENGINE_VERSION", "ruleset_signature"]
 
 #: Bump to invalidate every cache entry (rule-logic changes).
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 #: Default cache location (relative to the invocation cwd).
 DEFAULT_CACHE_DIR = "results/.cache/lint"

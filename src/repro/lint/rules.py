@@ -19,7 +19,7 @@ TAG001     float ``==``/``!=`` on virtual-time/tag expressions
 PERF001    hot-path classes under ``repro.core``/``repro.simulation``
            without ``__slots__``
 PERF002    direct ``heapq`` operations on the simulator event queue
-           outside :mod:`repro.simulation.eventq` (the backend seam)
+           outside :mod:`repro.simulation.engine` (the queue's owner)
 PERF003    per-call/per-iteration allocation and repeated attribute
            chains inside functions marked ``# lint: hot``
 =========  ==============================================================
@@ -769,28 +769,28 @@ _HEAPQ_MUTATORS = frozenset(
 
 
 @register
-class EventQueueSeamRule(Rule):
+class EventQueueOwnerRule(Rule):
     """No direct ``heapq`` operations on the simulator event queue.
 
-    The event queue is a pluggable backend seam
-    (:mod:`repro.simulation.eventq`): the binary heap is just one
-    implementation, and a simulation may be running on the calendar
-    queue instead. Code that reaches around the seam and ``heappush``\\ es
-    onto a simulator's storage directly is wrong on every other backend
-    — and invisible to the trace-equivalence gate until someone flips
-    ``REPRO_EVENT_QUEUE``. Inside ``repro/simulation/`` every heap *is*
-    (part of) the event queue, so any heapq mutation outside
-    ``eventq.py`` is flagged; elsewhere only receivers that name the
-    simulator or its event queue are flagged — schedulers' own internal
-    heaps (flow-head heaps, GPS trackers, regulators) are fine.
+    The event heap belongs to :class:`repro.simulation.engine.Simulator`:
+    its entries have a fixed tuple layout, ``seq`` values come from the
+    engine's counter, and ``reserve_inline`` assumes nothing lands on
+    the heap behind the engine's back. Code that ``heappush``\\ es onto a
+    simulator's storage directly can break FIFO order at equal times or
+    the busy-period elision without any error. Inside
+    ``repro/simulation/`` every heap *is* the event queue, so any heapq
+    mutation outside ``engine.py`` is flagged; elsewhere only receivers
+    that name the simulator or its event queue are flagged — schedulers'
+    own internal heaps (flow-head heaps, GPS trackers, regulators) are
+    fine.
     """
 
     code = "PERF002"
     summary = "direct heapq operation on the simulator event queue"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.norm_path.endswith("repro/simulation/eventq.py"):
-            return  # the seam itself: the one home of the inlined heap ops
+        if ctx.norm_path.endswith("repro/simulation/engine.py"):
+            return  # the queue's owner: the one home of the heap ops
         module_aliases: Set[str] = set()
         func_aliases: Dict[str, str] = {}
         for node in ast.walk(ctx.tree):
@@ -816,16 +816,16 @@ class EventQueueSeamRule(Rule):
                     ctx,
                     node,
                     f"`{op}` on the event queue outside repro.simulation."
-                    "eventq; go through the EventQueue interface (push/"
-                    "pop/peek_live/drain) so every backend stays correct",
+                    "engine; schedule through the Simulator API (at/"
+                    "call_at/attach_stream) instead",
                 )
             elif node.args and self._names_event_queue(node.args[0]):
                 yield self.finding(
                     ctx,
                     node,
                     f"`{op}` reaches into a simulator's event queue from "
-                    "outside repro.simulation.eventq; use the Simulator "
-                    "scheduling API or the EventQueue interface instead",
+                    "outside repro.simulation.engine; use the Simulator "
+                    "scheduling API instead",
                 )
 
     @staticmethod
@@ -851,7 +851,7 @@ class EventQueueSeamRule(Rule):
         """True when the heap receiver names a simulator's event queue.
 
         Heuristic on the dotted receiver path (``sim._heap``,
-        ``self.sim._queue._heap``, ``event_heap``): any component that
+        ``self.sim._heap``, ``event_heap``): any component that
         is ``sim``/``simulator`` or contains ``event``. Scheduler-
         internal heaps (``self._head_heap``, ``self._gsq_heap``, local
         ``heap`` variables) never match.
@@ -890,7 +890,7 @@ def hot_function_lines(source: str) -> FrozenSet[int]:
 class HotFunctionAllocationRule(Rule):
     """Per-iteration allocation in functions marked ``# lint: hot``.
 
-    The drain loops (`eventq`), the ``Link`` busy-period completion
+    The engine's run loop, the ``Link`` busy-period completion
     chain, and the PIFO engine's enqueue/dequeue are the measured inner
     loops of every benchmark: a list comprehension or a ``{...}``
     display there is a per-event allocation, and an attribute chain

@@ -462,7 +462,16 @@ class Link:
         return self._in_flight
 
     def utilization(self, t1: float, t2: float) -> float:
-        """Fraction of nominal capacity used for traffic in [t1, t2]."""
+        """Fraction of nominal capacity used for traffic in [t1, t2].
+
+        Computed from the departure records, so it needs a recording
+        tracer: raises :class:`ValueError` when tracing is off.
+        """
+        if not self.tracer.enabled:
+            raise ValueError(
+                f"utilization of link {self.name!r} needs departure records; "
+                "its tracer is disabled"
+            )
         if t2 <= t1:
             return 0.0
         possible = self.capacity.work(t1, t2)

@@ -9,32 +9,14 @@ experiment in the reproduction runs: a heapq-based event loop
 """
 
 from repro.simulation.engine import ArrivalStream, Simulator
-from repro.simulation.eventq import (
-    EVENT_QUEUES,
-    BinaryHeapQueue,
-    CalendarQueue,
-    make_event_queue,
-    set_default_event_queue,
-)
 from repro.simulation.events import Event, EventCancelled
 from repro.simulation.process import Process, Until, Waiter, spawn
 from repro.simulation.random import RandomStreams, derive_seed
-from repro.simulation.tracing import (
-    ColumnarTracer,
-    NullTracer,
-    PacketRecord,
-    SamplingTracer,
-    Tracer,
-)
+from repro.simulation.tracing import NullTracer, PacketRecord, Tracer
 
 __all__ = [
     "Simulator",
     "ArrivalStream",
-    "BinaryHeapQueue",
-    "CalendarQueue",
-    "EVENT_QUEUES",
-    "make_event_queue",
-    "set_default_event_queue",
     "Event",
     "EventCancelled",
     "RandomStreams",
@@ -42,8 +24,6 @@ __all__ = [
     "PacketRecord",
     "Tracer",
     "NullTracer",
-    "SamplingTracer",
-    "ColumnarTracer",
     "Process",
     "spawn",
     "Until",

@@ -1,4 +1,4 @@
-"""Discrete-event simulation loop over a pluggable event queue.
+"""Discrete-event simulation loop over one binary heap.
 
 The :class:`Simulator` is deliberately small: a priority queue of
 pending callbacks, a clock, and run controls. Everything else in the
@@ -14,7 +14,7 @@ function of its seed and parameters.
 
 Hot-path layout
 ---------------
-The event queue holds plain tuples, never
+The event queue is a ``heapq`` heap of plain tuples, never
 :class:`~repro.simulation.events.Event` objects, in one of two shapes
 sharing the ``(time, priority, seq)`` ordering prefix (``seq`` is
 globally unique, so comparison never reaches the payload slots):
@@ -30,14 +30,10 @@ globally unique, so comparison never reaches the payload slots):
   so the common case schedules and fires an event with zero object
   allocations beyond the queue tuple itself.
 
-Which container orders those tuples is a backend choice
-(:mod:`repro.simulation.eventq`): the seed binary heap
-(:class:`~repro.simulation.eventq.BinaryHeapQueue`, the default) or a
-calendar queue (:class:`~repro.simulation.eventq.CalendarQueue`) whose
-push/pop are O(1) amortized. Both yield the identical pop order, and
-both carry their own inlined ``drain`` hot loop that
-:meth:`Simulator.run` delegates to on the common path (no streams, no
-``max_events`` budget).
+This module is the only place that mutates the heap (lint rule PERF002).
+:meth:`Simulator.run` has two loops: the common one (no streams, no
+``max_events`` budget) is inlined in ``run`` itself, and
+:meth:`Simulator._run_generic` handles arrival streams and budgets.
 
 Busy-period timer elision
 -------------------------
@@ -74,15 +70,13 @@ streams attached while the loop is running take effect on the next
 from __future__ import annotations
 
 import math
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Protocol, Tuple
 
-from repro.simulation.eventq import (
-    BinaryHeapQueue,
-    EventQueue,
-    EventQueueSpec,
-    make_event_queue,
-)
 from repro.simulation.events import Event, _sequence
+
+Entry = Tuple[Any, ...]
 
 
 class ArrivalStream(Protocol):
@@ -110,19 +104,12 @@ class Simulator:
     ----------
     start_time:
         Initial clock value.
-    event_queue:
-        Event-queue backend: a name from
-        :data:`repro.simulation.eventq.EVENT_QUEUES` (``"heap"``,
-        ``"calendar"``), a queue instance, a factory, or ``None`` for
-        the ambient default (``set_default_event_queue`` /
-        ``REPRO_EVENT_QUEUE`` / binary heap).
     """
 
     __slots__ = (
         "_now",
-        "_queue",
+        "_heap",
         "_push",
-        "_peek_live",
         "_streams",
         "_running",
         "_stopped",
@@ -132,15 +119,12 @@ class Simulator:
         "_budget_left",
     )
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        event_queue: EventQueueSpec = None,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: EventQueue = make_event_queue(event_queue)
-        self._push = self._queue.push
-        self._peek_live = self._queue.peek_live
+        self._heap: List[Entry] = []
+        #: Bound C-level push: saves a Python frame on the hottest call
+        #: in the engine.
+        self._push: Callable[[Entry], None] = partial(heappush, self._heap)
         self._streams: List[ArrivalStream] = []
         self._running = False
         self._stopped = False
@@ -161,11 +145,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events fired so far (for complexity accounting)."""
         return self._events_processed
-
-    @property
-    def event_queue(self) -> EventQueue:
-        """The event-queue backend this simulator runs on."""
-        return self._queue
 
     @property
     def truncated(self) -> bool:
@@ -294,12 +273,24 @@ class Simulator:
             self._streams = [s for s in streams if s.next_time != math.inf]
         return best_t, best
 
+    def _peek_live(self) -> Optional[Entry]:
+        """Head heap entry, discarding cancelled entries in place."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            event = head[3]
+            if event is not None and event.cancelled:
+                heappop(heap)
+                continue
+            return head
+        return None
+
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None when nothing is pending.
 
         Considers both the event queue and attached arrival streams.
         """
-        head = self._queue.peek_live()
+        head = self._peek_live()
         heap_t = float(head[0]) if head is not None else math.inf
         stream_t, _ = self._min_stream()
         nxt = min(heap_t, stream_t)
@@ -310,10 +301,13 @@ class Simulator:
 
         Returns False when none remain. A stream arrival wins a tie
         against a queue timer at the same instant (same rule as
-        :meth:`run`).
+        :meth:`run`). Raises :class:`SimulationError` when called from a
+        callback fired by :meth:`run`: the step would bypass the run's
+        ``until`` horizon and budget.
         """
-        queue = self._queue
-        head = queue.peek_live()
+        if self._running:
+            raise SimulationError("step() called while the event loop is running")
+        head = self._peek_live()
         heap_t = float(head[0]) if head is not None else math.inf
         stream_t, stream = self._min_stream()
         if stream is not None and stream_t <= heap_t:
@@ -323,7 +317,7 @@ class Simulator:
             return True
         if head is None:
             return False
-        entry = queue.pop()
+        entry = heappop(self._heap)
         self._now = entry[0]
         self._events_processed += 1
         event = entry[3]
@@ -333,7 +327,7 @@ class Simulator:
             event._fire()
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:  # lint: hot
         """Run the event loop.
 
         Parameters
@@ -357,13 +351,35 @@ class Simulator:
         limit = math.inf if until is None else until
         self._limit = limit
         self._budget_left = max_events
+        fired = 0
         try:
             if self._streams or max_events is not None:
                 self._run_generic(limit)
             else:
-                # Common case: the backend's own inlined hot loop.
-                self._queue.drain(self, limit)
+                # Common case: the heap loop with the heap and heappop in
+                # locals; cancelled entries are skipped in place. The
+                # event count is settled once on exit (the exceptional
+                # one too: a failing event counts as fired).
+                heap = self._heap
+                pop = heappop
+                while heap and not self._stopped:
+                    entry = heap[0]
+                    event = entry[3]
+                    if event is not None and event.cancelled:
+                        pop(heap)
+                        continue
+                    time = entry[0]
+                    if time > limit:
+                        break
+                    pop(heap)
+                    self._now = time
+                    fired += 1
+                    if event is None:
+                        entry[4](*entry[5])
+                    else:
+                        event._fire()
         finally:
+            self._events_processed += fired
             self._running = False
         if until is not None and self._now < until and not self._stopped:
             self._now = until
@@ -373,14 +389,12 @@ class Simulator:
         """Run loop handling arrival streams and ``max_events`` budgets.
 
         Kept out of the common path so simulations without either pay
-        nothing; goes through the queue interface only (the inlined
-        container loops live in :mod:`repro.simulation.eventq`). A
-        stream arrival wins ties against queue timers at the same
-        instant.
+        nothing. A stream arrival wins ties against queue timers at the
+        same instant.
         """
-        queue = self._queue
+        heap = self._heap
         while not self._stopped:
-            head = queue.peek_live()
+            head = self._peek_live()
             heap_t = float(head[0]) if head is not None else math.inf
             stream_t, stream = self._min_stream()
             if stream is not None and stream_t <= heap_t:
@@ -393,7 +407,7 @@ class Simulator:
                 time = head[0]
                 if time > limit:
                     break
-                queue.pop()
+                heappop(heap)
                 self._now = time
                 self._events_processed += 1
                 event = head[3]
@@ -456,4 +470,4 @@ class Simulator:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.9g}, pending={len(self._queue)})"
+        return f"Simulator(now={self._now:.9g}, pending={len(self._heap)})"

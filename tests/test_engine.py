@@ -235,6 +235,23 @@ def test_not_reentrant():
     sim.run()
 
 
+def test_step_refused_inside_run():
+    # A step() from a firing callback would run past the run's horizon.
+    sim = Simulator()
+    fired = []
+
+    def step_from_callback():
+        with pytest.raises(SimulationError, match="running"):
+            sim.step()
+
+    sim.call_at(1.0, step_from_callback)
+    sim.call_at(2.0, fired.append, "late")
+    assert sim.run(until=1.5) == 1.5
+    assert fired == []
+    assert sim.step()
+    assert fired == ["late"]
+
+
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(5):

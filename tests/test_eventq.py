@@ -1,11 +1,14 @@
-"""Event-queue backends: parity, calendar internals, selection API.
+"""The event queue against the frozen seed engine.
 
 The headline test drives >=10^5 randomized mixed operations
-(``call_at``/``call_after``/``at``+cancel/``run_for``) through the heap
-and calendar backends side by side and asserts the two simulators fire
-the identical event sequence and end on identical clocks — the
-operational form of the guarantee the trace-equivalence suite checks
-end-to-end. Seeds are rooted in ``derive_seed`` (DET005 discipline).
+(``call_at``/``call_after``/``at``+cancel/``run_for``, some of the runs
+under a ``max_events`` budget) through the current ``Simulator`` and
+the frozen seed ``LegacySimulator`` (``tests/reference``) side by side,
+with ``call_*`` mapped to the seed's ``at``/``after``. The two must fire
+the identical event sequence, truncate the same runs and end on
+identical clocks — the operational form of the guarantee the
+trace-equivalence suite checks end to end. Seeds are rooted in
+``derive_seed`` (DET005 discipline).
 """
 
 from __future__ import annotations
@@ -15,26 +18,20 @@ import random
 
 import pytest
 
-from repro.simulation import (
-    BinaryHeapQueue,
-    CalendarQueue,
-    EVENT_QUEUES,
-    Simulator,
-    derive_seed,
-    make_event_queue,
-    set_default_event_queue,
-)
+from repro.simulation import Simulator, derive_seed
+from repro.simulation.engine import SimulationError
 
-BACKENDS = sorted(EVENT_QUEUES)
+from tests.reference.legacy_engine import LegacySimulator
 
 
 # ---------------------------------------------------------------------------
-# Randomized cross-backend parity
+# Randomized parity with the seed engine
 # ---------------------------------------------------------------------------
 
 
-def _drive(sim: Simulator, rng: random.Random, ops: int, log: list) -> None:
-    """Apply a seeded operation mix to ``sim``, recording every firing."""
+def _drive(sim, call_at, call_after, rng: random.Random, ops: int, log: list) -> None:
+    """Apply a seeded operation mix to ``sim``, recording every firing
+    and the outcome of every run."""
     counter = [0]
     handles = []
 
@@ -46,11 +43,11 @@ def _drive(sim: Simulator, rng: random.Random, ops: int, log: list) -> None:
         if roll < 0.42:
             tag = counter[0]
             counter[0] += 1
-            sim.call_at(sim.now + rng.uniform(0.0, 7.0), fire, tag)
+            call_at(sim.now + rng.uniform(0.0, 7.0), fire, tag)
         elif roll < 0.70:
             tag = counter[0]
             counter[0] += 1
-            sim.call_after(rng.uniform(0.0, 0.2), fire, tag)
+            call_after(rng.uniform(0.0, 0.2), fire, tag)
         elif roll < 0.88:
             tag = counter[0]
             counter[0] += 1
@@ -58,197 +55,65 @@ def _drive(sim: Simulator, rng: random.Random, ops: int, log: list) -> None:
         elif roll < 0.96 and handles:
             handles.pop(rng.randrange(len(handles))).cancel()
         else:
-            sim.run_for(rng.uniform(0.0, 3.0))
+            duration = rng.uniform(0.0, 3.0)
+            budget = rng.randint(1, 40) if rng.random() < 0.5 else None
+            sim.run_for(duration, max_events=budget)
+            log.append(("run", sim.now, sim.truncated))
     sim.run()
+    log.append(("end", sim.now, sim.events_processed))
+
+
+def _seed_and_current(seed: int, ops: int):
+    """The firing logs of the seed and the current engine for one mix."""
+    legacy = LegacySimulator()
+    legacy_log: list = []
+    _drive(legacy, legacy.at, legacy.after, random.Random(seed), ops, legacy_log)
+    sim = Simulator()
+    log: list = []
+    _drive(sim, sim.call_at, sim.call_after, random.Random(seed), ops, log)
+    return legacy_log, log
 
 
 def test_randomized_parity_100k_ops():
-    """>=10^5 mixed ops: identical pop order and final clocks."""
+    """>=10^5 mixed ops: the seed's pop order, truncations and clocks."""
     ops = 100_000
-    seed = derive_seed("eventq-parity", ops)
-    logs = {}
-    clocks = {}
-    for backend in BACKENDS:
-        rng = random.Random(seed)  # same op sequence for every backend
-        sim = Simulator(event_queue=backend)
-        log: list = []
-        _drive(sim, rng, ops, log)
-        logs[backend] = log
-        clocks[backend] = sim.now
-    reference = logs[BACKENDS[0]]
-    assert len(reference) > ops // 2  # the mix actually fired things
-    for backend in BACKENDS[1:]:
-        assert logs[backend] == reference
-        assert clocks[backend] == clocks[BACKENDS[0]]
+    legacy_log, log = _seed_and_current(derive_seed("eventq-parity", ops), ops)
+    assert len(legacy_log) > ops // 2  # the mix actually fired things
+    assert any(entry[0] == "run" and entry[2] for entry in legacy_log)
+    assert log == legacy_log
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_randomized_parity_small_cases(case):
     """Smaller seeds x cases for quicker shrinking when parity breaks."""
-    seed = derive_seed("eventq-parity-small", case)
-    logs = []
-    for backend in BACKENDS:
-        rng = random.Random(seed)
-        sim = Simulator(event_queue=backend)
-        log: list = []
-        _drive(sim, rng, 2_000, log)
-        logs.append(log)
-    assert logs[0] == logs[1]
-
-
-def test_identical_timestamp_fifo_order_across_backends():
-    for backend in BACKENDS:
-        sim = Simulator(event_queue=backend)
-        order: list = []
-        for i in range(50):
-            sim.call_at(1.0, order.append, i)
-        sim.run()
-        assert order == list(range(50))
-
-
-# ---------------------------------------------------------------------------
-# CalendarQueue internals
-# ---------------------------------------------------------------------------
-
-
-def _entry(t: float, seq: int):
-    return (t, 0, seq, None, lambda: None, ())
-
-
-def test_calendar_pop_order_with_far_future_overflow():
-    q = CalendarQueue()
-    times = [1e12, 0.5, 3.0, 1e9, 0.25, 7.5, 2e12]
-    for i, t in enumerate(times):
-        q.push(_entry(t, i))
-    assert len(q) == len(times)
-    popped = [q.pop()[0] for _ in range(len(times))]
-    assert popped == sorted(times)
-    assert len(q) == 0
-    with pytest.raises(IndexError):
-        q.pop()
-
-
-def test_calendar_rollover_promotes_overflow():
-    q = CalendarQueue(width=1.0, buckets=256)
-    # Everything far beyond the initial year [0, 256): all overflow.
-    for i in range(100):
-        q.push(_entry(1e6 + i * 0.5, i))
-    popped = [q.pop()[0] for _ in range(100)]
-    assert popped == sorted(popped)
-
-
-def test_calendar_rebuild_on_dense_year():
-    # Thousands of entries in a tiny time span force occupancy-driven
-    # rebuilds; order must survive them.
-    q = CalendarQueue(width=1.0, buckets=256)
-    n = 4_000
-    for i in range(n):
-        q.push(_entry((i * 7919 % n) * 1e-6, i))
-    popped = [q.pop()[:3] for _ in range(n)]
-    assert popped == sorted(popped)
-    assert q._nbuck > 256  # the rebuild actually grew the year
-
-
-def test_calendar_clamps_pre_epoch_and_boundary_times():
-    q = CalendarQueue(width=1.0, buckets=256)
-    q.push(_entry(1000.0, 0))
-    q.pop()  # re-anchors the year at epoch=1000 via rollover
-    # A push before the epoch is legal (now <= epoch always holds for
-    # the engine, but the queue itself tolerates any ordering).
-    q.push(_entry(999.5, 1))
-    q.push(_entry(1000.5, 2))
-    assert q.pop()[0] == 999.5
-    assert q.pop()[0] == 1000.5
-
-
-def test_calendar_peek_live_discards_cancelled():
-    sim = Simulator(event_queue="calendar")
-    first = sim.at(1.0, lambda: None)
-    sim.at(2.0, lambda: None)
-    first.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_calendar_thin_rollovers_widen_buckets():
-    q = CalendarQueue(width=1e-9, buckets=256)
-    # Events spaced vastly wider than the year (256 ns): every rollover
-    # promotes one entry, so the width must adapt upward.
-    for i in range(200):
-        q.push(_entry(float(i), i))
-    start_width = q._width
-    popped = [q.pop()[0] for _ in range(200)]
-    assert popped == sorted(popped)
-    assert q._width > start_width
-
-
-# ---------------------------------------------------------------------------
-# Selection API
-# ---------------------------------------------------------------------------
-
-
-def test_explicit_backend_selection(monkeypatch):
-    # The suite itself may run under REPRO_EVENT_QUEUE (CI's
-    # eventq-smoke job does); pin the environment for default checks.
-    monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-    assert isinstance(Simulator().event_queue, BinaryHeapQueue)
-    assert isinstance(
-        Simulator(event_queue="calendar").event_queue, CalendarQueue
+    legacy_log, log = _seed_and_current(
+        derive_seed("eventq-parity-small", case), 2_000
     )
-    assert isinstance(
-        Simulator(event_queue=CalendarQueue).event_queue, CalendarQueue
-    )
-    queue = BinaryHeapQueue()
-    assert Simulator(event_queue=queue).event_queue is queue
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown event queue"):
-        Simulator(event_queue="splay")
-    with pytest.raises(TypeError):
-        make_event_queue(42)
-
-
-def test_set_default_event_queue(monkeypatch):
-    monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-    try:
-        set_default_event_queue("calendar")
-        assert isinstance(Simulator().event_queue, CalendarQueue)
-        set_default_event_queue(None)
-        assert isinstance(Simulator().event_queue, BinaryHeapQueue)
-    finally:
-        set_default_event_queue(None)
-
-
-def test_set_default_rejects_instances():
-    with pytest.raises(TypeError, match="name or factory"):
-        set_default_event_queue(BinaryHeapQueue())
-
-
-def test_env_var_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    assert isinstance(Simulator().event_queue, CalendarQueue)
-    # Explicit argument and set_default both beat the environment.
-    assert isinstance(Simulator(event_queue="heap").event_queue, BinaryHeapQueue)
-    try:
-        set_default_event_queue("heap")
-        assert isinstance(Simulator().event_queue, BinaryHeapQueue)
-    finally:
-        set_default_event_queue(None)
-
-
-def test_factory_must_implement_interface():
-    with pytest.raises(TypeError, match="event-queue interface"):
-        make_event_queue(lambda: object())
+    assert log == legacy_log
 
 
 # ---------------------------------------------------------------------------
-# Engine behavior on both backends
+# Engine behaviour on both run loops
 # ---------------------------------------------------------------------------
 
+#: ``max_events`` per run loop: ``heap`` is plain ``run()`` (the inlined
+#: loop), ``budgeted`` a budget no test reaches, which takes
+#: ``_run_generic``.
+RUN_LOOPS = {"heap": None, "budgeted": 10**9}
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_until_and_budget(backend):
-    sim = Simulator(event_queue=backend)
+
+@pytest.mark.parametrize("max_events", list(RUN_LOOPS.values()), ids=list(RUN_LOOPS))
+def test_identical_timestamp_fifo_order(max_events):
+    sim = Simulator()
+    order: list = []
+    for i in range(50):
+        sim.call_at(1.0, order.append, i)
+    sim.run(max_events=max_events)
+    assert order == list(range(50))
+
+
+def test_run_until_and_budget():
+    sim = Simulator()
     fired: list = []
     for i in range(10):
         sim.call_at(float(i), fired.append, i)
@@ -261,23 +126,20 @@ def test_run_until_and_budget(backend):
     assert fired == list(range(10))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stop_mid_run(backend):
-    sim = Simulator(event_queue=backend)
+@pytest.mark.parametrize("max_events", list(RUN_LOOPS.values()), ids=list(RUN_LOOPS))
+def test_stop_mid_run(max_events):
+    sim = Simulator()
     fired: list = []
     sim.call_at(1.0, fired.append, 1)
     sim.call_at(2.0, sim.stop)
     sim.call_at(3.0, fired.append, 3)
-    sim.run()
+    sim.run(max_events=max_events)
     assert fired == [1]
     assert sim.now == 2.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_past_and_nan_scheduling_rejected(backend):
-    from repro.simulation.engine import SimulationError
-
-    sim = Simulator(event_queue=backend, start_time=5.0)
+def test_past_and_nan_scheduling_rejected():
+    sim = Simulator(start_time=5.0)
     with pytest.raises(SimulationError, match="past"):
         sim.call_at(4.0, lambda: None)
     with pytest.raises(SimulationError, match="NaN"):

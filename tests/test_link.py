@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import FIFO, Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link, PeriodicStall
-from repro.simulation import Simulator
+from repro.simulation import NullTracer, Simulator
 
 
 def make_link(rate=1000.0, **kwargs):
@@ -128,6 +128,17 @@ def test_utilization():
     sim.at(0.0, lambda: [link.send(Packet("f", 100, seqno=i)) for i in range(5)])
     sim.run(until=1.0)
     assert link.utilization(0.0, 1.0) == pytest.approx(0.5)
+
+
+def test_utilization_requires_tracing():
+    # Utilization is computed from departure records; with tracing off
+    # there are none, so the link refuses rather than reading 0.0.
+    sim, link = make_link(tracer=NullTracer())
+    for i in range(10):
+        sim.call_at(0.0, link.send, Packet("f", 100, seqno=i))
+    sim.run()
+    with pytest.raises(ValueError, match="tracer is disabled"):
+        link.utilization(0.0, 1.0)
 
 
 def test_link_on_stalling_server():

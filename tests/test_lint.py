@@ -187,7 +187,7 @@ def test_perf002_catches_heapq_in_simulation_package():
         "import heapq\n"
         "def f(queue, entry):\n"
         "    heapq.heappush(queue, entry)\n",
-        path="src/repro/simulation/engine.py",
+        path="src/repro/simulation/tracing.py",
     )
     assert "PERF002" in codes(findings)
 
@@ -202,12 +202,12 @@ def test_perf002_catches_from_import_alias_in_simulation():
     assert "PERF002" in codes(findings)
 
 
-def test_perf002_allows_eventq_itself():
+def test_perf002_allows_engine_itself():
     findings = run_lint_on_source(
         "import heapq\n"
         "def f(heap, entry):\n"
         "    heapq.heappush(heap, entry)\n",
-        path="src/repro/simulation/eventq.py",
+        path="src/repro/simulation/engine.py",
     )
     assert "PERF002" not in codes(findings)
 
@@ -225,7 +225,7 @@ def test_perf002_catches_event_heap_receiver_outside_simulation():
         "class S:\n"
         "    __slots__ = ('sim',)\n"
         "    def f(self, entry):\n"
-        "        heapq.heappush(self.sim._queue._heap, entry)\n",
+        "        heapq.heappush(self.sim._heap, entry)\n",
         path="src/repro/core/thing.py",
     )
     assert "PERF002" in codes(findings)
@@ -514,7 +514,7 @@ _PASSING = {
     "TAG001": "test_tag001_passes_ordering_comparison",
     "TAG002": "test_tag002_passes_disciplined_call",
     "PERF001": "test_perf001_passes_with_slots",
-    "PERF002": "test_perf002_allows_eventq_itself",
+    "PERF002": "test_perf002_allows_engine_itself",
     "PERF003": "test_perf003_passes_preallocated_loop",
     "CACHE001": "test_cache001_passes_pure_entry",
 }

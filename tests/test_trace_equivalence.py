@@ -11,8 +11,9 @@ This suite drives the engine and the frozen seed copy
 (``tests/reference/legacy_cores.py``) through the *same* deterministic
 workload on the real ``Simulator`` + ``Link`` stack and compares the
 full trace record streams for exact equality. The engine side is
-constructed through ``make_scheduler`` under every event queue and in
-two variants, :data:`ENGINE_VARIANTS`: ``object`` is the default engine
+constructed through ``make_scheduler``, run under both of the
+simulator's run loops (:data:`RUN_LOOPS`), and in two variants,
+:data:`ENGINE_VARIANTS`: ``object`` is the default engine
 and ``array`` the same engine with ``debug_checks=True``, so every
 workload also re-verifies the flow-head-heap invariant on each dequeue.
 (The variant ids are the names of the two storage backends this suite
@@ -208,19 +209,22 @@ SCHEDULERS = {
     "DelayEDD": (_opt("DelayEDD"), lambda: LegacyDelayEDD(), _edd_setup),
 }
 
-#: Event-queue backends the optimized side must be byte-identical under.
-#: The seed side always runs on the default binary heap, so each case
-#: doubles as a cross-event-queue equivalence check.
-EVENT_QUEUE_BACKENDS = ("heap", "calendar")
+#: The simulator's run loops the optimized side must be byte-identical
+#: under, as ``max_events`` per loop: ``heap`` is plain ``run()``, the
+#: inlined heap loop (the id is kept from when this axis named event
+#: queues); ``budgeted`` is ``run(max_events=...)`` with a budget no
+#: workload reaches, which takes ``Simulator._run_generic`` and the
+#: budgeted ``reserve_inline`` path. The seed side always runs plain.
+RUN_LOOPS = {"heap": None, "budgeted": 10**9}
 
 #: Schedulers supporting discard_tail (the others raise NotImplementedError).
 DISCARD_CAPABLE = {"SFQ", "SCFQ"}
 
 
-def run_trace(scheduler_factory, setup, workload_name, event_queue=None):
+def run_trace(scheduler_factory, setup, workload_name, max_events=None):
     """Run one (scheduler, workload) combination; return the trace."""
     flow_ids, arrivals, link_kwargs = WORKLOADS[workload_name]()
-    sim = Simulator() if event_queue is None else Simulator(event_queue=event_queue)
+    sim = Simulator()
     sched = scheduler_factory()
     if setup is not None:
         setup(sched, flow_ids)
@@ -245,7 +249,8 @@ def run_trace(scheduler_factory, setup, workload_name, event_queue=None):
                 Packet(f, ln, seqno=s, rate=r)
             ),
         )
-    sim.run()
+    sim.run(max_events=max_events)
+    assert not sim.truncated
     return tuple(
         (r.flow, r.seqno, r.length, r.arrival, r.start_service, r.departure, r.dropped)
         for r in link.tracer.records
@@ -264,21 +269,21 @@ def _combos():
             yield sched_name, wl_name
 
 
-@pytest.mark.parametrize("eventq", EVENT_QUEUE_BACKENDS)
+@pytest.mark.parametrize("run_loop", tuple(RUN_LOOPS))
 @pytest.mark.parametrize("variant", tuple(ENGINE_VARIANTS))
 @pytest.mark.parametrize("sched_name,wl_name", list(_combos()))
-def test_trace_equivalence(sched_name, wl_name, variant, eventq):
+def test_trace_equivalence(sched_name, wl_name, variant, run_loop):
     new_factory, legacy_factory, setup = SCHEDULERS[sched_name]
     # DelayEDD churn: auto-registered flows need deadlines; skip handled
     # in _combos. Everything else must match record-for-record.
     optimized = run_trace(
-        lambda: new_factory(variant), setup, wl_name, event_queue=eventq
+        lambda: new_factory(variant), setup, wl_name, RUN_LOOPS[run_loop]
     )
     legacy = run_trace(legacy_factory, setup, wl_name)
     assert len(optimized) == len(legacy)
     for i, (new_rec, old_rec) in enumerate(zip(optimized, legacy)):
         assert new_rec == old_rec, (
-            f"{sched_name}[{variant}]/{wl_name}/{eventq}: record {i} diverged:\n"
+            f"{sched_name}[{variant}]/{wl_name}/{run_loop}: record {i} diverged:\n"
             f"  optimized: {new_rec}\n  seed:      {old_rec}"
         )
 
