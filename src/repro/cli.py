@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static determinism & scheduler-invariant analysis "
-             "(DET*/TAG*/PERF* rules; see HACKING.md)",
+             "(DET*/TAG*/CACHE*/PERF* rules; see HACKING.md)",
     )
     from repro.lint.cli import build_lint_parser
 

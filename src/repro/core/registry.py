@@ -185,8 +185,8 @@ def register_scheduler(spec: SchedulerSpec) -> SchedulerSpec:
     Returns the spec so callers can ``register_scheduler(SchedulerSpec(
     ...))`` and keep the handle.
     """
-    _REGISTRY[spec.name] = spec  # lint: disable=CACHE001  idempotent name-keyed registration (import-time setup), not result state
-    _ALIASES[spec.name.lower()] = spec.name  # lint: disable=CACHE001  idempotent name-keyed registration (import-time setup), not result state
+    _REGISTRY[spec.name] = spec
+    _ALIASES[spec.name.lower()] = spec.name
     return spec
 
 

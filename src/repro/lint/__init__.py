@@ -1,4 +1,4 @@
-"""``repro.lint`` — whole-program determinism & scheduler-invariant analysis.
+"""``repro.lint`` — per-file determinism & scheduler-invariant analysis.
 
 The repo's headline guarantees (bit-identical campaign shards across
 ``--jobs N``, byte-identical trace equivalence, Theorem-1 fairness
@@ -12,18 +12,15 @@ This package enforces them statically, before a simulation runs:
 >>> [f.rule for f in findings]
 ['DET001']
 
-Two rule families share one driver: per-file **module rules**
-(:mod:`repro.lint.rules`) see a single AST; **project rules**
-(:mod:`repro.lint.rules_project`) see the whole program — module graph
-(:mod:`repro.lint.project`), call graph (:mod:`repro.lint.callgraph`)
-and a CFG/dataflow engine (:mod:`repro.lint.dataflow`) — and catch
-violations that cross call and file boundaries.
+Every rule is a module rule (:mod:`repro.lint.rules`): it sees one
+file's AST at a time. Defects that only show across calls or files
+(tag arithmetic drifting from :mod:`repro.core.tagmath`, wall-clock or
+hash-order values reaching the schedule) are caught at runtime by the
+trace-equivalence, campaign ``--jobs`` and hash-seed tests instead.
 
-Entry points: ``python -m repro lint [paths]`` (CI gate; cached,
-baseline-aware), :func:`analyze_paths` (the full v2 engine),
-:func:`lint_source` / :func:`lint_paths` (per-file, programmatic), and
-the registries in :mod:`repro.lint.rules` /
-:mod:`repro.lint.rules_project` for adding checks. See HACKING.md,
+Entry points: ``python -m repro lint [paths]`` (CI gate),
+:func:`lint_source` / :func:`lint_paths` (programmatic), and the
+registry in :mod:`repro.lint.rules` for adding checks. See HACKING.md,
 chapter "Static analysis", for the rule catalog and suppression syntax.
 """
 
@@ -34,42 +31,21 @@ from repro.lint.analyzer import (
     lint_source,
     resolve_rules,
 )
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache
-from repro.lint.engine import EngineResult, analyze_paths, git_changed_files
 from repro.lint.findings import Finding, parse_suppressions, sort_findings
-from repro.lint.project import Project, load_project
 from repro.lint.rules import RULES, ModuleContext, Rule, all_rule_codes, register
-from repro.lint.rules_project import (
-    PROJECT_RULES,
-    ProjectRule,
-    all_project_rule_codes,
-    register_project,
-)
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
-    "EngineResult",
     "Finding",
     "LintUsageError",
     "ModuleContext",
-    "PROJECT_RULES",
-    "Project",
-    "ProjectRule",
     "RULES",
     "Rule",
-    "all_project_rule_codes",
     "all_rule_codes",
-    "analyze_paths",
-    "git_changed_files",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_project",
     "parse_suppressions",
     "register",
-    "register_project",
     "resolve_rules",
     "sort_findings",
 ]

@@ -22,7 +22,8 @@ from repro.lint.rules import RULES, ModuleContext, Rule
 
 
 class LintUsageError(Exception):
-    """Raised for bad rule selections (unknown codes)."""
+    """Raised for bad rule selections (unknown codes) and for paths that
+    do not exist or hold no ``.py`` files."""
 
 
 def resolve_rules(
@@ -90,21 +91,26 @@ def lint_source(
 
 
 def iter_python_files(paths: Iterable[str]) -> List[Path]:
-    """Expand files/directories into a sorted, deduplicated .py list."""
+    """Expand files/directories into a sorted, deduplicated .py list.
+
+    A path that does not exist, or names no ``.py`` file, raises
+    :class:`LintUsageError`: a mistyped path must not pass as clean.
+    """
     seen: List[Path] = []
     seen_set: Set[str] = set()
     for raw in paths:
         path = Path(raw)
+        if not path.exists():
+            raise LintUsageError(f"{raw}: no such file or directory")
         if path.is_dir():
-            candidates: Iterable[Path] = sorted(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            candidates = [path]
+            candidates = sorted(path.rglob("*.py"))
         else:
-            candidates = []
+            candidates = [path] if path.suffix == ".py" else []
+        candidates = [c for c in candidates if "egg-info" not in str(c)]
+        if not candidates:
+            raise LintUsageError(f"{raw}: no .py files to lint")
         for candidate in candidates:
             key = str(candidate)
-            if "egg-info" in key:
-                continue
             if key not in seen_set:
                 seen_set.add(key)
                 seen.append(candidate)

@@ -2,7 +2,7 @@
 
 A :class:`Finding` is one rule violation at one source location. The
 analyzer collects findings from every registered rule, drops the ones
-covered by an inline ``# lint: disable=RULE`` directive, and hands the
+covered by an inline ``# lint: disable=`` directive, and hands the
 rest to the CLI (or to a caller via
 :func:`repro.lint.analyzer.lint_source`).
 
@@ -24,9 +24,10 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping
 
-#: Matches ``# lint: disable=CODE[,CODE...]`` anywhere in a line. The
-#: code list stops at the first token not joined by a comma, so a
-#: free-form justification may follow it on the same line.
+#: Matches ``# lint: disable=`` plus a comma-separated code list
+#: anywhere in a line. The code list stops at the first token not
+#: joined by a comma, so a free-form justification may follow it on
+#: the same line.
 _DIRECTIVE_RE = re.compile(
     r"#\s*lint:\s*disable=([A-Za-z][A-Za-z0-9_]*(?:\s*,\s*[A-Za-z][A-Za-z0-9_]*)*)"
 )

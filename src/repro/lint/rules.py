@@ -9,13 +9,17 @@ virtual-time tag arithmetic behind the paper's Theorem 1:
 DET001     module-level / unseeded ``random`` or ``numpy.random`` use
            outside :mod:`repro.simulation.random`
 DET002     wall-clock reads (``time.time``, ``datetime.now``,
-           ``perf_counter``, ...) outside ``benchmarks/`` / ``bench.py``
+           ``perf_counter``, ...) and environment reads (``os.environ``,
+           ``os.getenv``) outside ``benchmarks/`` / ``bench.py``
 DET003     iteration over ``set``/``dict`` views feeding heap pushes,
            event scheduling or flow registration without ``sorted(...)``
 DET004     ``id()``-based tie-breaking inside comparators or sort keys
 DET005     RNG seeds in ``repro.chaos``/``repro.faults`` not rooted in
            ``derive_seed`` (raw ``Random(...)``, literal stream seeds)
 TAG001     float ``==``/``!=`` on virtual-time/tag expressions
+TAG002     eq. 4 / eq. 37 spelled inline outside :mod:`repro.core.tagmath`
+CACHE001   file reads or module-level state writes in campaign-cached
+           experiment code
 PERF001    hot-path classes under ``repro.core``/``repro.simulation``
            without ``__slots__``
 PERF002    direct ``heapq`` operations on the simulator event queue
@@ -24,9 +28,13 @@ PERF003    per-call/per-iteration allocation and repeated attribute
            chains inside functions marked ``# lint: hot``
 =========  ==============================================================
 
-The whole-program rules (CACHE001, TAG002, DET006) live in
-:mod:`repro.lint.rules_project`; they need the module graph, the call
-graph, and the dataflow engine rather than a single file's AST.
+Every rule sees one module at a time. Wall-clock and environment
+reads are flagged where they happen, wherever the value goes next.
+Defects that only show across statements or calls (eq. 4 split over
+two statements with a drifting spelling, a set's order returned by a
+helper into the schedule) are caught at runtime by the
+trace-equivalence and ``PYTHONHASHSEED`` tests; HACKING.md, "Static
+analysis", maps each removed check to its test.
 
 Adding a rule: subclass :class:`Rule`, set ``code``/``summary``, implement
 ``check``, and decorate with :func:`register` (see HACKING.md, "Static
@@ -40,7 +48,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Type, Union
 
 from repro.lint.findings import Finding
 
@@ -68,6 +76,12 @@ class ModuleContext:
     def is_seeded_rng_module(self) -> bool:
         """True for the one module allowed to touch ``random`` freely."""
         return self.norm_path.endswith("repro/simulation/random.py")
+
+    def in_experiment_code(self) -> bool:
+        """True for campaign-cached experiment modules (CACHE001)."""
+        return "repro/experiments/" in self.norm_path or self.norm_path.endswith(
+            "repro/chaos/experiment.py"
+        )
 
     def in_hot_path_package(self) -> bool:
         """True for modules under ``repro/core`` or ``repro/simulation``."""
@@ -131,6 +145,16 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
+    return None
+
+
+def _callee_name(call: ast.Call) -> Optional[str]:
+    """``f`` for ``f(...)`` and ``obj.f(...)``, else None."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
     return None
 
 
@@ -246,13 +270,26 @@ _WALL_CLOCK_CALLS = {
 }
 
 
+#: Canonical dotted names of process-environment reads.
+_ENV_READS = {"os.environ", "os.getenv", "os.environb", "os.getenvb"}
+
+
+def _canonical(dotted: str, aliases: Dict[str, str]) -> str:
+    """``dotted`` with its first component mapped through ``aliases``."""
+    root, _, rest = dotted.partition(".")
+    return aliases.get(root, root) + ("." + rest if rest else "")
+
+
 @register
 class WallClockRule(Rule):
-    """Wall-clock reads outside the benchmark harness.
+    """Wall-clock and environment reads outside the benchmark harness.
 
     Simulation logic must depend only on virtual time (``sim.now``) and
     the experiment seed; a wall-clock read anywhere on a simulation path
-    makes results machine- and load-dependent. Timing *harness* code
+    makes results machine- and load-dependent. An ``os.environ`` /
+    ``os.getenv`` read does the same to the campaign cache, which keys
+    results on (name, source digest, params, seed) only — thread the
+    value through params instead. Timing *harness* code
     (``benchmarks/``, ``bench.py``) is exempt by path; legitimate
     elapsed-time bookkeeping elsewhere (e.g. the campaign runner's shard
     timings) must carry an inline ``# lint: disable=DET002`` with a
@@ -260,7 +297,7 @@ class WallClockRule(Rule):
     """
 
     code = "DET002"
-    summary = "wall-clock call outside benchmarks/ or bench.py"
+    summary = "wall-clock or environment read outside benchmarks/ or bench.py"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_benchmark_code():
@@ -270,33 +307,40 @@ class WallClockRule(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name in ("time", "datetime"):
+                    if alias.name in ("time", "datetime", "os"):
                         aliases[alias.asname or alias.name] = alias.name
             elif isinstance(node, ast.ImportFrom):
-                if node.module == "time":
-                    for alias in node.names:
-                        aliases[alias.asname or alias.name] = f"time.{alias.name}"
-                elif node.module == "datetime":
+                if node.module in ("time", "datetime", "os"):
                     for alias in node.names:
                         aliases[alias.asname or alias.name] = (
-                            f"datetime.{alias.name}"
+                            f"{node.module}.{alias.name}"
                         )
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            root, _, rest = dotted.partition(".")
-            canonical = aliases.get(root, root) + ("." + rest if rest else "")
-            if canonical in _WALL_CLOCK_CALLS:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"wall-clock call `{dotted}` — simulation code must "
-                    "depend only on sim.now and the seed (benchmarks/ and "
-                    "bench.py are exempt)",
-                )
+            if isinstance(node, ast.Call):
+                dotted = dotted_name(node.func)
+                if dotted is not None and (
+                    _canonical(dotted, aliases) in _WALL_CLOCK_CALLS
+                ):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"wall-clock call `{dotted}` — simulation code must "
+                        "depend only on sim.now and the seed (benchmarks/ and "
+                        "bench.py are exempt)",
+                    )
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                dotted = dotted_name(node)
+                if dotted is not None and (
+                    _canonical(dotted, aliases) in _ENV_READS
+                ):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"environment read `{dotted}` — cached results are "
+                        "keyed only on (name, source digest, params, seed); "
+                        "pass the value in through params (benchmarks/ and "
+                        "bench.py are exempt)",
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +413,7 @@ def _called_sinks(body: List[ast.stmt]) -> Iterator[ast.Call]:
     """Scheduling-sink calls anywhere inside ``body``."""
     for stmt in body:
         for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name in _SCHEDULING_SINKS:
+            if isinstance(node, ast.Call) and _callee_name(node) in _SCHEDULING_SINKS:
                 yield node
 
 
@@ -403,12 +439,7 @@ class UnorderedIterationRule(Rule):
                 node.iter
             ):
                 for sink in _called_sinks(node.body):
-                    func = sink.func
-                    name = (
-                        func.attr
-                        if isinstance(func, ast.Attribute)
-                        else getattr(func, "id", "?")
-                    )
+                    name = _callee_name(sink)
                     yield self.finding(
                         ctx,
                         node,
@@ -418,12 +449,7 @@ class UnorderedIterationRule(Rule):
                     )
                     break  # one finding per loop
             elif isinstance(node, ast.Call):
-                func = node.func
-                name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None
-                )
+                name = _callee_name(node)
                 if name not in _SCHEDULING_SINKS:
                     continue
                 for arg in node.args:
@@ -593,6 +619,261 @@ class TagFloatEqualityRule(Rule):
                         "are exact copies",
                     )
                     break
+
+
+# ---------------------------------------------------------------------------
+# TAG002 — eq. 4 / eq. 37 spelled inline outside repro.core.tagmath
+# ---------------------------------------------------------------------------
+
+#: Identifier fragments that mark a ``max(a, b + c)`` as the eq. 37
+#: expected-arrival recurrence rather than unrelated arithmetic.
+_EQ37_WORDS = _TAG_WORDS + ("eat", "arrival", "service", "expected")
+
+
+def _is_max2(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "max"
+        and len(node.args) == 2
+        and not node.keywords
+    )
+
+
+def _contains_div(node: ast.AST) -> bool:
+    return any(
+        isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+        for sub in ast.walk(node)
+    )
+
+
+def _mentions_eq37_word(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            name = sub.attr.lower()
+        elif isinstance(sub, ast.Name):
+            name = sub.id.lower()
+        else:
+            continue
+        if name.endswith("_tag") or any(word in name for word in _EQ37_WORDS):
+            return True
+    return False
+
+
+@register
+class TagMathParityRule(Rule):
+    """Eq. 4 / eq. 37 must be computed by ``repro.core.tagmath`` only.
+
+    Tags are exact-float state: ``S = max(v, F_prev); F = S + l/r``
+    (eq. 4) and ``EAT = max(A, EAT_prev + P_prev)`` (eq. 37). A second
+    copy of either recursion can round differently from the shared
+    kernel (``l*(1/r)`` vs ``l/r`` differ in ulps), which breaks
+    byte-identical trace equivalence with the seed for eq. 4 and
+    silently shifts every delay bound for eq. 37. This rule flags the
+    one-expression spellings: ``max(a, b) + <.../...>`` and
+    ``max(a, b + c)`` over tag/EAT vocabulary.
+    """
+
+    code = "TAG002"
+    summary = "inline eq. 4 / eq. 37 outside repro.core.tagmath"
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.norm_path.endswith("repro/core/tagmath.py"):
+            return  # the kernel itself
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                if (_is_max2(node.left) and _contains_div(node.right)) or (
+                    _is_max2(node.right) and _contains_div(node.left)
+                ):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        "inline eq. 4 (`max(...) + length/rate`) re-derives "
+                        "the start/finish tags; call "
+                        "repro.core.tagmath.start_finish instead",
+                    )
+            elif (
+                _is_max2(node)
+                and isinstance(node, ast.Call)
+                and isinstance(node.args[1], ast.BinOp)
+                and isinstance(node.args[1].op, ast.Add)
+                and _mentions_eq37_word(node)
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "inline eq. 37 (`max(arrival, prev_eat + prev_service)`) "
+                    "re-derives the expected-arrival recurrence; call "
+                    "repro.core.tagmath.eat_step instead",
+                )
+
+
+# ---------------------------------------------------------------------------
+# CACHE001 — uncached inputs in campaign-cached experiment code
+# ---------------------------------------------------------------------------
+
+_FS_READ_METHODS = frozenset({"read_text", "read_bytes"})
+_MUTATING_METHODS = frozenset(
+    {
+        "append",
+        "add",
+        "update",
+        "setdefault",
+        "extend",
+        "insert",
+        "pop",
+        "popitem",
+        "clear",
+        "remove",
+        "discard",
+    }
+)
+_MUTABLE_FACTORIES = frozenset(
+    {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+)
+
+
+def _opens_for_reading(call: ast.Call) -> bool:
+    """True for an ``open(...)`` whose mode reads (default ``"r"``)."""
+    mode: Optional[ast.expr] = call.args[1] if len(call.args) > 1 else None
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return not any(flag in mode.value for flag in "wax")
+    return True  # default or computed mode: assume it reads
+
+
+def _mutable_globals(tree: ast.Module) -> Set[str]:
+    """Module-level names bound to a list/dict/set display or factory."""
+    names: Set[str] = set()
+    for stmt in tree.body:
+        targets: List[ast.expr]
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+            value = stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+            value = stmt.value
+        else:
+            continue
+        mutable = isinstance(value, (ast.List, ast.Dict, ast.Set))
+        if isinstance(value, ast.Call):
+            factory = dotted_name(value.func)
+            mutable = factory is not None and (
+                factory.rsplit(".", 1)[-1] in _MUTABLE_FACTORIES
+            )
+        if mutable:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def _own_nodes(fn: _FunctionNode) -> List[ast.AST]:
+    """Nodes of a function body, not descending into nested defs."""
+    nodes: List[ast.AST] = []
+    stack: List[ast.AST] = list(fn.body)
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def _local_names(fn: _FunctionNode, nodes: List[ast.AST]) -> Set[str]:
+    """Names ``fn`` binds locally: parameters and non-``global`` stores."""
+    bound = {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+    declared: Set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    return bound - declared
+
+
+def _container_write(node: ast.AST) -> Optional[Tuple[str, str]]:
+    """``(name, how)`` when ``node`` writes into the container ``name``."""
+    target: ast.expr
+    if isinstance(node, ast.Subscript) and isinstance(
+        node.ctx, (ast.Store, ast.Del)
+    ):
+        target, how = node.value, "written by subscript"
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATING_METHODS
+    ):
+        target, how = node.func.value, f"mutated via .{node.func.attr}()"
+    else:
+        return None
+    while isinstance(target, ast.Subscript):
+        target = target.value  # _MEMO[k][j] = ... writes _MEMO
+    return (target.id, how) if isinstance(target, ast.Name) else None
+
+
+@register
+class ExperimentPurityRule(Rule):
+    """Experiment results must be a function of (params, seed) alone.
+
+    The campaign layer caches results content-addressed by experiment
+    name + source digest + params + seed. A file an experiment reads is
+    in none of those, and neither is module-level state a function
+    writes: a memo dict filled by one shard is still filled when the
+    next shard runs in the same process (and in every worker forked
+    from it). Either way two shards with the same key can disagree and
+    the cache serves whichever came first. Scope: ``repro/experiments/``
+    and ``repro/chaos/experiment.py`` (the registry's entry modules);
+    ``bench.py`` is exempt like it is for DET002. Environment reads, the
+    other uncached input, are DET002's.
+    """
+
+    code = "CACHE001"
+    summary = "file read or module-state write in campaign-cached experiment code"
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not ctx.in_experiment_code() or ctx.in_benchmark_code():
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee_name(node)
+            if name in _FS_READ_METHODS or (
+                name == "open" and _opens_for_reading(node)
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"`{name}(...)` reads a file in experiment code; cached "
+                    "results are keyed only on (name, source digest, params, "
+                    "seed) — pass the data in through params",
+                )
+        yield from self._module_state_writes(ctx)
+
+    def _module_state_writes(self, ctx: ModuleContext) -> Iterator[Finding]:
+        mutable = _mutable_globals(ctx.tree)
+        if not mutable:
+            return
+        for fn in ast.walk(ctx.tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = _own_nodes(fn)
+            shadowed = _local_names(fn, nodes)
+            for node in nodes:
+                write = _container_write(node)
+                if write is None or write[0] not in mutable - shadowed:
+                    continue
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"module-level `{write[0]}` {write[1]} inside a function: "
+                    "state outlives the shard and is not in the cache key "
+                    "(name, source digest, params, seed) — keep it local or "
+                    "pass it through params",
+                )
 
 
 # ---------------------------------------------------------------------------

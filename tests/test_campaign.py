@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +258,41 @@ def test_scale_digest_identical_across_jobs(tmp_path):
     # The departure-schedule digest is a pure function of (seed, params):
     # in-process and worker-pool execution must agree exactly.
     assert digest(1, "j1") == digest(2, "j2")
+
+
+#: Runs a small campaign and prints every summary's JSON (hash-seed probe).
+_HASH_SEED_PROBE = """
+import json, sys
+from repro.experiments.campaign import run_campaign
+campaign = run_campaign(
+    ["table1", "figure1", "residual", "faults"], seeds=1, jobs=1, cache=False
+)
+assert all(o.ok for o in campaign.outcomes), campaign.outcomes
+json.dump({n: s.to_json() for n, s in campaign.summaries.items()}, sys.stdout)
+"""
+
+
+def test_summaries_independent_of_pythonhashseed():
+    """Set iteration order follows the per-process string-hash seed, so
+    an unordered collection reaching the schedule (in any function, or
+    across calls) shows up as a summary that changes with PYTHONHASHSEED."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def summaries(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    first = summaries(0)
+    assert sorted(first) == ["faults", "figure1", "residual", "table1"]
+    assert summaries(1) == first
 
 
 def test_cached_and_fresh_shards_are_indistinguishable(tmp_path):

@@ -19,10 +19,10 @@ import pytest
 from repro.lint import (
     Finding,
     LintUsageError,
-    PROJECT_RULES,
     RULES,
-    all_project_rule_codes,
     all_rule_codes,
+    iter_python_files,
+    lint_paths,
     lint_source,
     parse_suppressions,
     resolve_rules,
@@ -473,22 +473,14 @@ def test_resolve_rules_rejects_unknown_codes():
 def test_registry_is_complete():
     assert set(all_rule_codes()) == set(RULES) == {
         "DET001", "DET002", "DET003", "DET004", "DET005", "TAG001",
-        "PERF001", "PERF002", "PERF003",
+        "TAG002", "CACHE001", "PERF001", "PERF002", "PERF003",
     }
-    assert set(all_project_rule_codes()) == set(PROJECT_RULES) == {
-        "CACHE001", "TAG002", "DET006",
-    }
-    # The two families must never share a code: engine dedup keys on
-    # (path, line, rule) across both registries.
-    assert not set(RULES) & set(PROJECT_RULES)
     for rule in RULES.values():
         assert rule.summary
-    for cls in PROJECT_RULES.values():
-        assert cls.summary
 
 
-# Registry-wide fixture sweep: every rule (module and project) must
-# have a catching fixture and a passing fixture in the test suite.
+# Registry-wide fixture sweep: every rule must have a catching fixture
+# and a passing fixture in the test suite.
 # Adding a rule without them fails here, not silently in production.
 _CATCHING = {
     "DET001": "test_det001_catches_module_level_random",
@@ -496,13 +488,12 @@ _CATCHING = {
     "DET003": "test_det003_catches_set_iteration_feeding_heappush",
     "DET004": "test_det004_catches_id_in_comparator",
     "DET005": "test_det005_catches_raw_random_in_chaos_code",
-    "DET006": "test_det006_catches_wallclock_through_helper_into_call_at",
     "TAG001": "test_tag001_catches_tag_equality",
     "TAG002": "test_tag002_catches_inline_eq4",
     "PERF001": "test_perf001_catches_unslotted_hot_path_class",
     "PERF002": "test_perf002_catches_heapq_in_simulation_package",
     "PERF003": "test_perf003_catches_comprehension_in_hot_function",
-    "CACHE001": "test_cache001_catches_env_read_in_entry",
+    "CACHE001": "test_cache001_catches_impurity_via_transitive_helper",
 }
 _PASSING = {
     "DET001": "test_det001_passes_seeded_generator",
@@ -510,7 +501,6 @@ _PASSING = {
     "DET003": "test_det003_passes_with_sorted",
     "DET004": "test_det004_passes_uid_tiebreak",
     "DET005": "test_det005_passes_derived_seed",
-    "DET006": "test_det006_passes_simulation_derived_time",
     "TAG001": "test_tag001_passes_ordering_comparison",
     "TAG002": "test_tag002_passes_disciplined_call",
     "PERF001": "test_perf001_passes_with_slots",
@@ -524,8 +514,7 @@ def test_every_rule_has_catching_and_passing_fixtures():
     import tests.test_lint as module_suite
     import tests.test_lint_project as project_suite
 
-    every_code = set(all_rule_codes()) | set(all_project_rule_codes())
-    assert set(_CATCHING) == set(_PASSING) == every_code
+    assert set(_CATCHING) == set(_PASSING) == set(all_rule_codes())
     for table in (_CATCHING, _PASSING):
         for code, test_name in table.items():
             assert hasattr(module_suite, test_name) or hasattr(
@@ -558,6 +547,19 @@ def test_render_text_and_json():
     assert render_text([]) == ""
 
 
+def test_path_matching_no_files_is_a_usage_error(tmp_path, capsys):
+    # A mistyped CI path must fail the gate, not lint nothing and pass.
+    with pytest.raises(LintUsageError, match="no such file"):
+        lint_paths([str(tmp_path / "nope")])
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    with pytest.raises(LintUsageError, match="no .py files"):
+        iter_python_files([str(tmp_path)])
+    with pytest.raises(LintUsageError, match="no .py files"):
+        lint_paths([str(tmp_path / "notes.txt")])
+    assert lint_main([str(tmp_path / "srcc")]) == 2
+    assert "srcc" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "repro" / "core" / "bad.py"
     bad.parent.mkdir(parents=True)
@@ -572,10 +574,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in all_rule_codes():
-        assert code in out
-    for code in all_project_rule_codes():
-        assert code in out
+    assert [line.split()[0] for line in out.splitlines()] == list(RULES)
 
 
 @pytest.mark.parametrize("code,source,subdir", [
@@ -601,11 +600,11 @@ def test_cli_list_rules(capsys):
         "def f(v, last_finish, length, rate):\n"
         "    return max(v, last_finish) + length / rate\n"
     ), "core"),
-    ("DET006", (
-        "import time\n"
-        "def arm(sim, handler):\n"
-        "    sim.call_at(time.time(), handler)\n"
-    ), "simulation"),
+    ("CACHE001", (
+        "def run_demo(path):\n"
+        "    with open(path) as fh:\n"
+        "        return fh.read()\n"
+    ), "experiments"),
 ])
 def test_cli_nonzero_on_each_rules_catching_fixture(
     tmp_path, capsys, code, source, subdir
@@ -637,3 +636,11 @@ def test_repo_source_tree_lints_clean():
     assert proc.returncode == 0, (
         "the tree must lint clean; findings:\n" + proc.stdout + proc.stderr
     )
+    # A directive naming no registered rule suppresses nothing; it is
+    # dead text (or a typo hiding a finding) and must go.
+    known = set(RULES) | {"ALL"}
+    for path in iter_python_files([str(REPO_ROOT / "src")]):
+        directives = parse_suppressions(path.read_text(encoding="utf-8"))
+        for line, named in directives.items():
+            dead = sorted(named - known)
+            assert not dead, f"{path}:{line}: disable names unknown rule(s) {dead}"
