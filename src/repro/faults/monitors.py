@@ -26,12 +26,12 @@ Implementation note on the fairness check: for an interval
 gap is :math:`D(t_2) - D(t_1)` where ``D`` is the running signed
 difference of normalized work. Its maximum over all sub-intervals of the
 span is therefore ``max D - min D`` over the span, which the monitor
-maintains incrementally in O(1) per departure per pair — the same trick
-that makes the offline :func:`empirical_fairness_measure` exact, without
-storing the trace. Following the paper (Section 1.2), a packet counts
-toward an interval only if it starts *and* finishes service inside it;
-the monitor excludes the packet already on the wire when a pair's
-common-backlog span opens.
+maintains incrementally in O(1) per departure per open pair — the same
+trick that makes the offline :func:`empirical_fairness_measure` exact,
+without storing the trace. Following the paper (Section 1.2), a packet
+counts toward an interval only if it starts *and* finishes service
+inside it; the monitor excludes the packet already on the wire when a
+pair's common-backlog span opens.
 """
 
 from __future__ import annotations
@@ -146,12 +146,58 @@ class Monitor:
         return violation
 
 
+class _FlowTrack:
+    """One tracked flow: its backlog, Theorem 1 constants and pairs.
+
+    ``term`` is the flow's half of the bound, ``l_max / r``, recomputed
+    only when ``max_len`` grows or the weight changes. ``peers`` maps
+    every track this one has ever shared a backlog with to their
+    persistent :class:`_PairState`; ``open`` holds the pairs whose
+    common-backlog span is open now, in opening order (the order a
+    departure posts service in).
+    """
+
+    __slots__ = (
+        "flow", "weight", "inv_weight", "max_len", "term",
+        "outstanding", "peers", "open",
+    )
+
+    def __init__(self, flow: Hashable, weight: float, inv_weight: float) -> None:
+        self.flow = flow
+        self.weight = weight
+        self.inv_weight = inv_weight
+        self.max_len = 0
+        self.term = 0.0
+        self.outstanding = 0
+        self.peers: Dict[_FlowTrack, _PairState] = {}
+        self.open: Dict[_FlowTrack, _PairState] = {}
+
+    def reweight(self, weight: float, inv_weight: float) -> None:
+        self.weight = weight
+        self.inv_weight = inv_weight
+        self.term = self.max_len / weight
+
+
 class _PairState:
-    """Running gap statistics for one pair's common-backlog span."""
+    """Running gap statistics for one pair of flows.
 
-    __slots__ = ("since", "d", "dmin", "dmax")
+    Created the first time the two flows share a backlog and reset, not
+    reallocated, each time a common-backlog span opens. ``key`` is the
+    pair's canonical ``(a, b)`` order; service by ``a`` raises ``d``.
+    """
 
-    def __init__(self, since: float) -> None:
+    __slots__ = ("key", "a", "b", "since", "d", "dmin", "dmax")
+
+    def __init__(self, a: _FlowTrack, b: _FlowTrack) -> None:
+        if repr(a.flow) > repr(b.flow):
+            a, b = b, a
+        self.key = (a.flow, b.flow)
+        self.a = a
+        self.b = b
+        self.reset(0.0)
+
+    def reset(self, since: float) -> None:
+        """Start a new common-backlog span at ``since``."""
         self.since = since
         self.d = 0.0
         self.dmin = 0.0
@@ -173,7 +219,9 @@ class FairnessMonitor(Monitor):
     :attr:`max_gap` without ever firing.
 
     The monitor tracks at most ``max_flows`` flows (pair state is
-    quadratic); later flows are ignored.
+    quadratic); later flows are ignored. A departure costs O(1) per
+    open pair of the served flow; an arrival that opens a backlog costs
+    O(tracked flows), to open its common-backlog spans.
     """
 
     invariant = "fairness"
@@ -194,18 +242,13 @@ class FairnessMonitor(Monitor):
         #: Largest normalized gap observed in any common-backlog window.
         self.max_gap = 0.0
         self.max_gap_pair: Optional[Tuple[Hashable, Hashable]] = None
-        self._outstanding: Dict[Hashable, int] = {}
-        self._weight: Dict[Hashable, float] = {}
-        # Cached reciprocals (FlowState.inv_weight): _credit runs once
-        # per departed packet, and the bound check carries explicit
-        # slack, so a multiply is safe where the schedulers' tag math
-        # is not.
-        self._inv_weight: Dict[Hashable, float] = {}
-        self._max_len: Dict[Hashable, int] = {}
-        self._pairs: Dict[Tuple[Hashable, Hashable], _PairState] = {}
-        # Per-flow index over _pairs so _credit touches only the pairs
-        # the served flow participates in, not all O(flows^2) of them.
-        self._flow_pairs: Dict[Hashable, Dict[Tuple[Hashable, Hashable], _PairState]] = {}
+        # The scheduler's flow table, read for weights. Service is
+        # normalized by the cached reciprocal (FlowState.inv_weight):
+        # a departure posts it to every open pair, and the bound check
+        # carries explicit slack, so a multiply is safe where the
+        # schedulers' tag math is not.
+        self._flows = link.scheduler.flows
+        self._tracks: Dict[Hashable, _FlowTrack] = {}  # in tracking order
         self._admitted: Set[int] = set()  # uids currently in the link
         self._last_departure = float("-inf")
         link.arrival_hooks.append(self._on_arrival)
@@ -213,56 +256,92 @@ class FairnessMonitor(Monitor):
         link.drop_hooks.append(self._on_drop)
 
     # ------------------------------------------------------------------
-    def _tracked(self, flow: Hashable) -> bool:
-        return flow in self._weight
-
     def _on_arrival(self, packet: Packet, now: float) -> None:
         flow = packet.flow
-        if not self._tracked(flow):
-            if len(self._weight) >= self.max_flows:
-                return
-            state = self.link.scheduler.flows.get(flow)
-            if state is None:
-                # Composite scheduler managing flows internally;
-                # nothing to normalize by — skip this flow.
-                return
-            self._weight[flow] = state.weight
-            self._inv_weight[flow] = state.inv_weight
-            self._max_len[flow] = 0
-            self._outstanding[flow] = 0
+        tracks = self._tracks
+        track = tracks.get(flow)
+        # The FlowState is looked up afresh each time: churn replaces
+        # it, and a reweight changes it in place.
+        state = self._flows.get(flow)
+        if track is not None:
+            if state is not None and state.weight != track.weight:
+                track.reweight(state.weight, state.inv_weight)
+        elif len(tracks) < self.max_flows and state is not None:
+            track = tracks[flow] = _FlowTrack(flow, state.weight, state.inv_weight)
         else:
-            state = self.link.scheduler.flows.get(flow)
-            if state is not None:
-                self._weight[flow] = state.weight
-                self._inv_weight[flow] = state.inv_weight
-        if packet.length > self._max_len[flow]:
-            self._max_len[flow] = packet.length
+            # Over the cap, or a composite scheduler managing flows
+            # internally (nothing to normalize by): skip this flow.
+            return
+        length = packet.length
+        if length > track.max_len:
+            track.max_len = length
+            track.term = length / track.weight
         self._admitted.add(packet.uid)
-        self._outstanding[flow] += 1
-        if self._outstanding[flow] == 1:
+        track.outstanding += 1
+        if track.outstanding == 1:
             # Flow just became backlogged: open a common-backlog span
             # with every other currently backlogged flow.
-            for other, count in self._outstanding.items():
-                if other == flow or count == 0:
-                    continue
-                key = self._key(flow, other)
-                pair = _PairState(now)
-                self._pairs[key] = pair
-                self._flow_pairs.setdefault(flow, {})[key] = pair
-                self._flow_pairs.setdefault(other, {})[key] = pair
+            peers = track.peers
+            opened = track.open
+            for other in tracks.values():
+                if other.outstanding and other is not track:
+                    pair = peers.get(other)
+                    if pair is None:
+                        pair = peers[other] = other.peers[track] = _PairState(
+                            track, other
+                        )
+                    pair.reset(now)
+                    opened[other] = pair
+                    other.open[track] = pair
 
     def _on_departure(self, packet: Packet, now: float) -> None:
         # A packet counts toward an interval only if it started service
         # inside it (paper Section 1.2). The start instant is bounded
         # below by both the packet's link-local arrival and the previous
         # departure of this serial server.
-        started_lb = max(packet.arrival, self._last_departure)
+        arrival = packet.arrival
+        last = self._last_departure
+        started_lb = last if last > arrival else arrival
         self._last_departure = now
-        if packet.uid not in self._admitted:
+        admitted = self._admitted
+        uid = packet.uid
+        if uid not in admitted:
             return
-        self._admitted.discard(packet.uid)
-        self._credit(packet.flow, packet.length, started_lb, now)
-        self._finish_one(packet.flow, now)
+        admitted.remove(uid)
+        track = self._tracks[packet.flow]
+        if track.open:
+            # Post the service to every open pair of the flow.
+            normalized = packet.length * track.inv_weight
+            term = track.term
+            bound_factor = self.bound_factor
+            slack = self.slack
+            max_gap = self.max_gap
+            for other, pair in track.open.items():
+                if started_lb < pair.since - 1e-12:
+                    continue  # packet predates this common-backlog span
+                if pair.a is track:
+                    d = pair.d + normalized
+                else:
+                    d = pair.d - normalized
+                pair.d = d
+                dmin = pair.dmin
+                dmax = pair.dmax
+                if d < dmin:
+                    pair.dmin = dmin = d
+                elif d > dmax:
+                    pair.dmax = dmax = d
+                gap = dmax - dmin
+                if gap > max_gap:
+                    self.max_gap = max_gap = gap
+                    self.max_gap_pair = pair.key
+                # Float addition commutes exactly, so the bound may
+                # take the served flow's term first.
+                bound = (term + other.term) * bound_factor + slack
+                if gap > bound:
+                    self._violate_bound(pair, gap, bound, now)
+        track.outstanding -= 1
+        if not track.outstanding and track.open:
+            self._close(track)
 
     def _on_drop(self, packet: Packet, now: float) -> None:
         # A dropped packet leaves the backlog without being served.
@@ -270,64 +349,38 @@ class FairnessMonitor(Monitor):
         # not decrement; evicted or outage-dropped ones did and must.
         if packet.uid not in self._admitted:
             return
-        self._admitted.discard(packet.uid)
         if packet.meta.get("outage_drop"):
             # The scheduler allocated this packet its service slot; the
             # outage destroyed it on the wire. Theorem 1 bounds the
-            # *scheduler's* allocation, so the slot still counts —
-            # otherwise every outage drop would masquerade as an
-            # unfairness of the discipline.
-            started_lb = max(packet.arrival, self._last_departure)
-            self._last_departure = now
-            self._credit(packet.flow, packet.length, started_lb, now)
-        self._finish_one(packet.flow, now)
-
-    def _credit(
-        self, flow: Hashable, length: int, started_lb: float, now: float
-    ) -> None:
-        """Post ``length`` bits of service for ``flow`` to every open pair."""
-        normalized = length * self._inv_weight[flow]
-        pairs = self._flow_pairs.get(flow)
-        if not pairs:
+            # *scheduler's* allocation, so the slot still counts, as a
+            # departure — otherwise every outage drop would masquerade
+            # as an unfairness of the discipline.
+            self._on_departure(packet, now)
             return
-        for (a, b), pair in pairs.items():
-            if started_lb < pair.since - 1e-12:
-                continue  # packet predates this common-backlog span
-            pair.d += normalized if flow == a else -normalized
-            if pair.d < pair.dmin:
-                pair.dmin = pair.d
-            if pair.d > pair.dmax:
-                pair.dmax = pair.d
-            gap = pair.dmax - pair.dmin
-            if gap > self.max_gap:
-                self.max_gap = gap
-                self.max_gap_pair = (a, b)
-            bound = (
-                self._max_len[a] / self._weight[a]
-                + self._max_len[b] / self._weight[b]
-            ) * self.bound_factor + self.slack
-            if gap > bound:
-                self._violate(
-                    now,
-                    f"flows {a!r}/{b!r}: normalized service gap "
-                    f"{gap:.9g} exceeds Theorem 1 bound {bound:.9g} "
-                    f"({self.link.scheduler.algorithm} at {self.link.name})",
-                    window=(pair.since, now),
-                )
+        self._admitted.remove(packet.uid)
+        track = self._tracks[packet.flow]
+        track.outstanding -= 1
+        if not track.outstanding and track.open:
+            self._close(track)
 
-    def _finish_one(self, flow: Hashable, now: float) -> None:
-        self._outstanding[flow] -= 1
-        if self._outstanding[flow] == 0:
-            # Backlog span over: close every pair involving this flow.
-            closed = self._flow_pairs.pop(flow, None)
-            if closed:
-                for key in closed:
-                    del self._pairs[key]
-                    a, b = key
-                    other = b if a == flow else a
-                    other_pairs = self._flow_pairs.get(other)
-                    if other_pairs is not None:
-                        other_pairs.pop(key, None)
+    def _violate_bound(
+        self, pair: _PairState, gap: float, bound: float, now: float
+    ) -> None:
+        a, b = pair.key
+        self._violate(
+            now,
+            f"flows {a!r}/{b!r}: normalized service gap "
+            f"{gap:.9g} exceeds Theorem 1 bound {bound:.9g} "
+            f"({self.link.scheduler.algorithm} at {self.link.name})",
+            window=(pair.since, now),
+        )
+
+    @staticmethod
+    def _close(track: _FlowTrack) -> None:
+        """Backlog span over: close every pair involving ``track``."""
+        for other in track.open:
+            del other.open[track]
+        track.open.clear()
 
     def rebase_flow(self, flow: Hashable, now: float) -> None:
         """Restart every measurement span involving ``flow`` at ``now``.
@@ -339,29 +392,17 @@ class FairnessMonitor(Monitor):
         anything. Rebasing refreshes the cached weight from the
         scheduler and resets each open pair span as if the common
         backlog had just begun — the packet currently on the wire is
-        naturally excluded by the span-start check in ``_credit``,
-        exactly as at a span's first opening.
+        naturally excluded by the span-start check in the departure
+        hook, exactly as at a span's first opening.
         """
-        if not self._tracked(flow):
+        track = self._tracks.get(flow)
+        if track is None:
             return
-        state = self.link.scheduler.flows.get(flow)
+        state = self._flows.get(flow)
         if state is not None:
-            self._weight[flow] = state.weight
-            self._inv_weight[flow] = state.inv_weight
-        pairs = self._flow_pairs.get(flow)
-        if not pairs:
-            return
-        # Mutate in place: the same _PairState object is referenced from
-        # _pairs and from both flows' indexes.
-        for pair in pairs.values():
-            pair.since = now
-            pair.d = 0.0
-            pair.dmin = 0.0
-            pair.dmax = 0.0
-
-    @staticmethod
-    def _key(a: Hashable, b: Hashable) -> Tuple[Hashable, Hashable]:
-        return (a, b) if repr(a) <= repr(b) else (b, a)
+            track.reweight(state.weight, state.inv_weight)
+        for pair in track.open.values():
+            pair.reset(now)
 
 
 class VirtualTimeMonitor(Monitor):
@@ -375,17 +416,30 @@ class VirtualTimeMonitor(Monitor):
     path resetting tags — and would silently break every fairness and
     delay guarantee downstream. Works with any scheduler exposing a
     ``virtual_time`` property (SFQ, SCFQ, WFQ, FQS).
+
+    Where v(t) lives is worked out once, here: a scheduler driven by a
+    rank function (it exposes ``rank_fn``, as :class:`PifoScheduler`
+    and proxies forwarding to one do) keeps it on the rank, which its
+    ``virtual_time`` only forwards to; any other scheduler is read
+    directly. Every check still reads the live value.
     """
 
     invariant = "virtual-time"
 
     def __init__(self, link: Link, mode: str = "raise", eps: float = 1e-9) -> None:
         super().__init__(mode, metrics=link.metrics)
-        if not hasattr(link.scheduler, "virtual_time"):
+        scheduler = link.scheduler
+        if not hasattr(scheduler, "virtual_time"):
             raise TypeError(
-                f"{link.scheduler.algorithm} exposes no virtual_time; "
+                f"{scheduler.algorithm} exposes no virtual_time; "
                 "VirtualTimeMonitor only applies to tag-based schedulers"
             )
+        rank = getattr(scheduler, "rank_fn", None)
+        self._clock: Any = (
+            rank
+            if rank is not None and "virtual_time" in rank.exports
+            else scheduler
+        )
         self.link = link
         self.eps = float(eps)
         self.last_v = float("-inf")
@@ -394,17 +448,17 @@ class VirtualTimeMonitor(Monitor):
         link.departure_hooks.append(self._check)
 
     def _check(self, packet: Packet, now: float) -> None:
-        # The constructor verified the attribute exists; the base
-        # Scheduler type deliberately does not declare it.
-        v = float(getattr(self.link.scheduler, "virtual_time"))
-        if v < self.last_v - self.eps:
+        v = float(self._clock.virtual_time)
+        last_v = self.last_v
+        if v < last_v - self.eps:
             self._violate(
                 now,
-                f"virtual time moved backwards: {v:.9g} < {self.last_v:.9g} "
+                f"virtual time moved backwards: {v:.9g} < {last_v:.9g} "
                 f"({self.link.scheduler.algorithm} at {self.link.name})",
                 window=(self._last_check, now),
             )
-        self.last_v = max(self.last_v, v)
+        if v > last_v:
+            self.last_v = v
         self._last_check = now
 
 

@@ -43,6 +43,7 @@ violations as ``invariant_violations{monitor}``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Type, Union
 
 from repro.metrics.instruments import (
@@ -243,23 +244,84 @@ class MetricsHub:
             self._flow_cache[flow] = handles
         return handles
 
-    def on_arrival(self, flow: Hashable, length: float, now: float) -> None:
-        """An arrival was accepted into the queue."""
-        handles = self._flow(flow)
-        handles.packets_arrived.add(1)
-        handles.bits_arrived.add(length)
-        handles.packet_length.observe(length)
+    # The per-packet methods update the cached handles inline (the
+    # bodies of Counter.add, Gauge.set, Histogram.observe and
+    # RateMeter.add): they run once per packet per server, and a call
+    # per instrument was most of their cost.
+    def on_arrival(
+        self,
+        flow: Hashable,
+        length: float,
+        now: float,
+        packets: Optional[int] = None,
+        bits: Optional[float] = None,
+    ) -> None:
+        """An arrival was accepted into the queue.
+
+        ``packets``/``bits``, when given, are the scheduler backlog after
+        the arrival, recorded as by :meth:`on_queue_sample`.
+        """
+        handles = self._flow_cache.get(flow)
+        if handles is None:
+            handles = self._flow(flow)
+        handles.packets_arrived.value += 1
+        handles.bits_arrived.value += length
+        hist = handles.packet_length
+        hist.counts[bisect_right(hist._edges, length)] += 1
+        hist.count += 1
+        hist.total += length
+        if hist.vmin is None or length < hist.vmin:
+            hist.vmin = length
+        if hist.vmax is None or length > hist.vmax:
+            hist.vmax = length
+        if packets is not None and bits is not None:
+            self.on_queue_sample(packets, bits)
 
     def on_served(
-        self, flow: Hashable, length: float, delay: float, now: float
+        self,
+        flow: Hashable,
+        length: float,
+        delay: float,
+        now: float,
+        packets: Optional[int] = None,
+        bits: Optional[float] = None,
     ) -> None:
-        """A packet finished transmission ``delay`` seconds after arrival."""
-        handles = self._flow(flow)
-        handles.packets_served.add(1)
-        handles.bits_served.add(length)
-        handles.delay.observe(delay)
-        handles.throughput.add(now, length)
-        self._link_throughput.add(now, length)
+        """A packet finished transmission ``delay`` seconds after arrival.
+
+        ``packets``/``bits``, when given, are the scheduler backlog after
+        the departure, recorded as by :meth:`on_queue_sample`.
+        """
+        handles = self._flow_cache.get(flow)
+        if handles is None:
+            handles = self._flow(flow)
+        handles.packets_served.value += 1
+        handles.bits_served.value += length
+        hist = handles.delay
+        hist.counts[bisect_right(hist._edges, delay)] += 1
+        hist.count += 1
+        hist.total += delay
+        if hist.vmin is None or delay < hist.vmin:
+            hist.vmin = delay
+        if hist.vmax is None or delay > hist.vmax:
+            hist.vmax = delay
+        meter = handles.throughput
+        window = meter.window
+        index = int(now / window)
+        buckets = meter.buckets
+        bucket = buckets.get(index)
+        buckets[index] = length if bucket is None else bucket + length
+        if now > meter.last_time:
+            meter.last_time = now
+        meter = self._link_throughput
+        if meter.window != window:
+            index = int(now / meter.window)
+        buckets = meter.buckets
+        bucket = buckets.get(index)
+        buckets[index] = length if bucket is None else bucket + length
+        if now > meter.last_time:
+            meter.last_time = now
+        if packets is not None and bits is not None:
+            self.on_queue_sample(packets, bits)
 
     def on_dropped(self, flow: Hashable, length: float, now: float) -> None:
         """A packet was lost (buffer reject, eviction, or outage)."""
@@ -269,8 +331,14 @@ class MetricsHub:
 
     def on_queue_sample(self, packets: int, bits: float) -> None:
         """Record the scheduler backlog after a queue-changing event."""
-        self._queue_depth.set(packets)
-        self._backlog_bits.set(bits)
+        depth = self._queue_depth
+        depth.value = packets
+        if packets > depth.high:
+            depth.high = packets
+        backlog = self._backlog_bits
+        backlog.value = bits
+        if bits > backlog.high:
+            backlog.high = bits
 
     # ------------------------------------------------------------------
     # Introspection / export

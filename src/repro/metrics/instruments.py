@@ -110,7 +110,11 @@ class Gauge:
         self.high: float = high
 
     def set(self, value: float) -> None:
-        """Record the current level."""
+        """Record the current level.
+
+        ``MetricsHub.on_queue_sample`` inlines this body on the
+        per-packet path; keep it in step.
+        """
         self.value = value
         if value > self.high:
             self.high = value
@@ -170,7 +174,11 @@ class Histogram:
         self.vmax: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation.
+
+        ``MetricsHub.on_arrival``/``on_served`` inline this body on the
+        per-packet path; keep them in step.
+        """
         self.counts[bisect_right(self._edges, value)] += 1
         self.count += 1
         self.total += value
@@ -286,7 +294,11 @@ class RateMeter:
         self.last_time = float("-inf")
 
     def add(self, now: float, amount: float) -> None:
-        """Accumulate ``amount`` into the window containing ``now``."""
+        """Accumulate ``amount`` into the window containing ``now``.
+
+        ``MetricsHub.on_served`` inlines this body on the per-packet
+        path; keep it in step.
+        """
         index = int(now / self.window)
         bucket = self.buckets.get(index)
         self.buckets[index] = amount if bucket is None else bucket + amount

@@ -96,11 +96,13 @@ class Tracer:
         self, flow: Hashable, seqno: int, length: int, time: float
     ) -> PacketRecord:
         """Record an arrival; the returned record is the mark handle."""
-        return self.add(
-            PacketRecord(
-                flow=flow, seqno=seqno, length=length, arrival=time, server=self.name
-            )
-        )
+        record = PacketRecord(flow, seqno, length, time, None, None, False, self.name)
+        self.records.append(record)
+        flow_records = self._by_flow.get(flow)
+        if flow_records is None:
+            flow_records = self._by_flow[flow] = []
+        flow_records.append(record)
+        return record
 
     # ------------------------------------------------------------------
     # Lifecycle marks (handle = the PacketRecord itself)
