@@ -10,8 +10,7 @@ from repro.experiments.scale import run_scale
 
 
 def test_scale_flatness_and_churn(benchmark):
-    # CI-sized sweep: 100x in flows, small packet budget. The committed
-    # full-size numbers (10^3..10^6) live in BENCH_scale.json.
+    # CI-sized sweep: 100x in flows, small packet budget.
     result = benchmark.pedantic(
         run_scale,
         kwargs={"flows": [500, 50_000], "packets_target": 20_000,
@@ -38,3 +37,11 @@ def test_scale_flatness_and_churn(benchmark):
     assert ref.data["points"][0]["digest"] == points[500]["digest"]
 
     save_result(result)
+
+
+def test_scale_digest_1e5_flows():
+    # The 10^5-flow point of the full sweep at default packet budget and
+    # churn; its digest is the recorded schedule (10^4 is pinned in
+    # tests/test_regression_snapshots.py).
+    (point,) = run_scale(flows=100_000).data["points"]
+    assert point["digest"] == "a49c2ae7"

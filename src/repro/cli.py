@@ -96,29 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench = sub.add_parser(
         "bench",
-        help="run the perf microbenchmarks and write BENCH_*.json",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny op counts (CI rot-check); numbers are not comparable",
+        help="measure the SFQ per-packet cost vs backlog curve (seed vs "
+             "engine) and write BENCH_schedulers.json",
     )
     bench.add_argument(
         "--output-dir", default=None,
-        help="directory for BENCH_*.json (default: current directory)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=5,
-        help="timing repeats per measurement; min is reported (default 5)",
-    )
-    bench.add_argument(
-        "--flows", type=int, nargs="+", default=None, metavar="N",
-        help="flow-count sweep for the scale family / BENCH_scale.json "
-             "(default: 1000 10000 100000; e.g. --flows 1000 1000000)",
-    )
-    bench.add_argument(
-        "--profile", type=int, default=None, metavar="N",
-        help="instead of benchmarking, cProfile the pipeline section and "
-             "print/dump the top-N hot functions under results/profile/",
+        help="directory for BENCH_schedulers.json (default: current "
+             "directory)",
     )
     report = sub.add_parser(
         "report", help="run the full evaluation and write a Markdown report"
@@ -176,15 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", action="store_true",
         help="collect per-shard metrics snapshots and write the "
              "per-experiment merge under <results>/metrics/",
-    )
-    campaign.add_argument(
-        "--bench", action="store_true",
-        help="measure --jobs and warm-cache speedups instead of running "
-             "a campaign; writes BENCH_campaign.json",
-    )
-    campaign.add_argument(
-        "--bench-output", default="BENCH_campaign.json",
-        help="path for --bench output (default BENCH_campaign.json)",
     )
     chaos = sub.add_parser(
         "chaos",
@@ -363,21 +338,7 @@ def _run_all(args: argparse.Namespace) -> int:
 def _run_campaign_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.experiments.campaign import (
-        run_campaign,
-        run_campaign_bench,
-        write_manifest,
-    )
-
-    if args.bench:
-        run_campaign_bench(
-            output=args.bench_output,
-            jobs=max(2, args.jobs) if args.jobs > 1 else 4,
-            seeds=args.seeds,
-            names=_parse_only(args.only),
-            timeout=args.timeout,
-        )
-        return 0
+    from repro.experiments.campaign import run_campaign, write_manifest
 
     progress = None if args.quiet else (lambda line: print(line, flush=True))
     campaign = run_campaign(
@@ -459,20 +420,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{name:<{width}}  {DESCRIPTIONS[name]}")
         return 0
     if args.command == "bench":
-        if args.profile is not None:
-            from repro.experiments.bench import profile_pipeline
-
-            profile_pipeline(
-                top_n=args.profile,
-                output_dir=args.output_dir or "results/profile",
-            )
-            return 0
         from repro.experiments.bench import run_bench
 
-        run_bench(
-            smoke=args.smoke, output_dir=args.output_dir,
-            repeats=args.repeats, flows=args.flows,
-        )
+        run_bench(output_dir=args.output_dir)
         return 0
     if args.command == "report":
         from repro.analysis.report import generate_report

@@ -893,144 +893,3 @@ def write_manifest(campaign: CampaignResult, path: Path) -> None:
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-# --------------------------------------------------------------------------
-# Campaign benchmark (BENCH_campaign.json)
-
-
-def run_sleep_probe(duration: float = 0.25, tag: int = 0) -> ExperimentResult:
-    """Synthetic blocking shard for the fan-out probe: its cost is a
-    ``time.sleep``, so wall-clock speedup under ``--jobs N`` measures the
-    runner's dispatch/overlap machinery in isolation from the machine's
-    core count (CPU-bound shards can only speed up with real cores)."""
-    time.sleep(duration)
-    result = ExperimentResult(
-        experiment=f"fan-out probe #{tag}",
-        description="synthetic blocking shard (campaign bench only)",
-        headers=["tag", "blocked (s)"],
-    )
-    result.add_row(tag, duration)
-    return result
-
-
-def run_campaign_bench(
-    output: str = "BENCH_campaign.json",
-    jobs: int = 4,
-    seeds: int = 1,
-    names: Optional[Sequence[str]] = None,
-    fanout_shards: int = 8,
-    fanout_cost: float = 0.5,
-    timeout: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = print,
-) -> Dict[str, Any]:
-    """Measure campaign speedups and write ``BENCH_campaign.json``.
-
-    Three measurements: (1) full suite cold at ``--jobs 1`` vs
-    ``--jobs N`` — CPU-bound, so the speedup tracks physical cores;
-    (2) a warm-cache re-run of the full suite; (3) the fan-out probe
-    (blocking shards), which demonstrates the runner's overlap is
-    near-linear independent of core count. Also cross-checks that the
-    ``--jobs 1`` and ``--jobs N`` runs produced bit-identical summaries.
-    """
-    import platform
-    import tempfile
-
-    def say(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    tmp1 = tempfile.mkdtemp(prefix="campaign_bench_j1_")
-    tmp2 = tempfile.mkdtemp(prefix="campaign_bench_jN_")
-
-    say(f"campaign bench: full suite cold, --jobs 1 (seeds={seeds}) ...")
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    cold1 = run_campaign(
-        names, seeds=seeds, jobs=1, cache=True, results_dir=tmp1,
-        timeout=timeout,
-    )
-    cold1_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    say("campaign bench: full suite warm-cache re-run ...")
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    warm = run_campaign(
-        names, seeds=seeds, jobs=1, cache=True, results_dir=tmp1,
-        timeout=timeout,
-    )
-    warm_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    say(f"campaign bench: full suite cold, --jobs {jobs} ...")
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    coldN = run_campaign(
-        names, seeds=seeds, jobs=jobs, cache=True, results_dir=tmp2,
-        timeout=timeout,
-    )
-    coldN_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    deterministic = [s.render() for s in cold1.summaries.values()] == [
-        s.render() for s in coldN.summaries.values()
-    ]
-
-    say(f"campaign bench: fan-out probe ({fanout_shards} blocking shards) ...")
-    probe_grid = {
-        "fanout-probe": [
-            {"duration": fanout_cost, "tag": i} for i in range(fanout_shards)
-        ]
-    }
-    probe_targets = {
-        "fanout-probe": "repro.experiments.campaign:run_sleep_probe"
-    }
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    run_campaign(
-        ["fanout-probe"], jobs=1, cache=False, grids=probe_grid,
-        targets=probe_targets,
-    )
-    fanout1_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    run_campaign(
-        ["fanout-probe"], jobs=jobs, cache=False, grids=probe_grid,
-        targets=probe_targets,
-    )
-    fanoutN_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    payload = {
-        "schema": "campaign-bench/1",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "full_suite": {
-            "experiments": len(cold1.summaries),
-            "shards": cold1.stats["shards"],
-            "seeds": seeds,
-            "jobs": jobs,
-            "jobs1_cold_s": round(cold1_s, 3),
-            f"jobs{jobs}_cold_s": round(coldN_s, 3),
-            "speedup_jobs_cold": round(cold1_s / coldN_s, 3),
-            "warm_s": round(warm_s, 3),
-            "speedup_warm_cache": round(cold1_s / warm_s, 3),
-            "warm_cached_shards": warm.stats["cached"],
-            "deterministic_across_jobs": deterministic,
-            "note": (
-                "cold shards are CPU-bound: speedup_jobs_cold tracks "
-                "physical cores (cpu_count above), while "
-                "speedup_warm_cache measures the content-addressed cache"
-            ),
-        },
-        "runner_fanout": {
-            "shards": fanout_shards,
-            "shard_cost_s": fanout_cost,
-            "jobs1_s": round(fanout1_s, 3),
-            f"jobs{jobs}_s": round(fanoutN_s, 3),
-            "speedup_jobs": round(fanout1_s / fanoutN_s, 3),
-            "note": (
-                "blocking-cost shards isolate the runner's dispatch "
-                "overlap from core count: this is the speedup shape the "
-                "runner delivers per available core"
-            ),
-        },
-    }
-    Path(output).write_text(json.dumps(payload, indent=2, sort_keys=True))
-    say(f"campaign bench written to {output}")
-    return payload

@@ -6,8 +6,10 @@ heavy. The subsystem follows the ``NullTracer`` discipline: every
 server holds a hub and guards updates with ``if metrics.enabled:``, so
 the default (no session active, null hub) costs one attribute read per
 packet — verified byte-identical against the frozen seed traces by
-``tests/test_trace_equivalence.py`` and benchmarked in
-``BENCH_schedulers.json``.
+``tests/test_trace_equivalence.py``. perfbench (``BENCHMARK.json``)
+measures both sides: ``link_sfq_mix`` runs with observation off, and
+``tcp_tandem_observed`` reports the enabled cost as
+``metrics.hub.update.self_s``.
 
 Typical use::
 
@@ -22,7 +24,7 @@ or from the command line::
 
     python -m repro metrics figure1
     python -m repro run figure1 --metrics
-    python -m repro campaign figure1 --metrics   # shard snapshots merge
+    python -m repro campaign --only figure1 --metrics   # shard snapshots merge
 
 Layers:
 

@@ -403,22 +403,19 @@ def test_retry_backoff_deterministic_and_shaped():
 
 
 def test_timeout_shard_yields_truncated_partial_aggregate():
-    grids = {
-        "probe": [{"duration": 30.0, "tag": 0}, {"duration": 0.01, "tag": 1}]
-    }
-    targets = {"probe": "repro.experiments.campaign:run_sleep_probe"}
+    grids = {"sleepy": [{"seconds": 30.0}, {"seconds": 0.01}]}
     campaign = run_campaign(
-        ["probe"], jobs=2, cache=False, timeout=1.0,
-        grids=grids, targets=targets,
+        ["sleepy"], jobs=2, cache=False, timeout=1.0,
+        grids=grids, targets=SYNTH_TARGETS,
     )
     assert campaign.stats["failed"] == 1
-    summary = campaign.summaries["probe"]
+    summary = campaign.summaries["sleepy"]
     info = summary.data["campaign"]
     assert info["truncated"] is True
     assert {s["status"] for s in info["shards"]} == {"ok", "timeout"}
     assert any("TRUNCATED" in note for note in summary.notes)
     # The surviving shard's row is aggregated, not discarded.
-    assert [row[0] for row in summary.rows] == [1]
+    assert summary.rows == [["sleepy", 0, 0]]
 
 
 def test_healthy_campaign_not_flagged_truncated():

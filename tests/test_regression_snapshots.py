@@ -101,3 +101,13 @@ def test_sfq_tag_snapshot_mixed_workload():
         ("a", 2, 2.0, 2.25),
         ("b", 2, 2.0, 3.0),
     ]
+
+
+def test_scale_digest_1e4_flows():
+    """The scale experiment's departure schedule at 10^4 flows (default
+    packet budget and churn): the 3-level SFQ tree, the CBR fleet and
+    the churn leaf all feed the digest."""
+    from repro.experiments.scale import run_scale
+
+    (point,) = run_scale(flows=10_000).data["points"]
+    assert point["digest"] == "2ffe8de7"
