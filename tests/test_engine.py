@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.simulation import Simulator
@@ -270,3 +272,116 @@ def test_run_for_runs_relative_duration():
     assert sim.now == 2.0
     sim.run_for(3.0)
     assert fired == [1, 5]
+
+
+# ----------------------------------------------------------------------
+# Arrival streams (the loop in Simulator._run_generic)
+# ----------------------------------------------------------------------
+class ListStream:
+    """An arrival stream over a fixed list of times; logs each firing."""
+
+    def __init__(self, name, times, log, on_fire=None):
+        self.name = name
+        self._times = list(times)
+        self._log = log
+        self._on_fire = on_fire
+        self.next_time = self._times[0] if self._times else math.inf
+
+    def fire(self):
+        t = self._times.pop(0)
+        self.next_time = self._times[0] if self._times else math.inf
+        self._log.append((self.name, t))
+        if self._on_fire is not None:
+            self._on_fire(t)
+
+
+def test_tied_streams_fire_in_attach_order():
+    sim = Simulator()
+    log = []
+    sim.attach_stream(ListStream("a", [1.0, 2.0], log))
+    sim.attach_stream(ListStream("b", [1.0, 1.5, 2.0], log))
+    sim.run()
+    assert log == [("a", 1.0), ("b", 1.0), ("b", 1.5), ("a", 2.0), ("b", 2.0)]
+    assert sim.events_processed == 5
+
+
+def test_stream_wins_tie_with_timer():
+    sim = Simulator()
+    log = []
+    sim.call_at(1.0, log.append, ("timer", 1.0))
+    sim.at(2.0, log.append, ("event", 2.0))
+    sim.attach_stream(ListStream("s", [1.0, 2.0], log))
+    sim.run()
+    assert log == [("s", 1.0), ("timer", 1.0), ("s", 2.0), ("event", 2.0)]
+    assert sim.events_processed == 4
+
+
+def test_exhausted_stream_is_detached():
+    # Once a stream reports next_time == inf the loop drops it: a later
+    # re-arm of the same object is never seen, with one stream attached
+    # or several.
+    for extra in ((), ([5.0],)):
+        sim = Simulator()
+        log = []
+        stream = ListStream("s", [1.0], log)
+        sim.attach_stream(stream)
+        for times in extra:
+            sim.attach_stream(ListStream("t", times, log))
+
+        def rearm():
+            stream._times = [3.0]
+            stream.next_time = 3.0
+
+        sim.call_at(2.0, rearm)
+        sim.run()
+        assert ("s", 3.0) not in log
+        assert log[0] == ("s", 1.0)
+        assert sim.peek() is None
+
+
+def test_stop_inside_stream_fire():
+    sim = Simulator()
+    log = []
+    stream = ListStream(
+        "s", [1.0, 2.0, 3.0], log,
+        on_fire=lambda t: sim.stop() if t == 2.0 else None,
+    )
+    sim.attach_stream(stream)
+    assert sim.run(until=10.0) == 2.0
+    assert log == [("s", 1.0), ("s", 2.0)]
+    assert sim.events_processed == 2
+    assert sim.run() == 3.0
+    assert log[-1] == ("s", 3.0)
+    assert sim.events_processed == 3
+
+
+def test_until_between_stream_arrivals():
+    sim = Simulator()
+    log = []
+    sim.attach_stream(ListStream("s", [1.0, 3.0], log))
+    assert sim.run(until=2.0) == 2.0
+    assert log == [("s", 1.0)]
+    assert sim.peek() == 3.0
+    sim.run()
+    assert log == [("s", 1.0), ("s", 3.0)]
+    assert sim.events_processed == 2
+
+
+def test_reserve_inline_refused_by_tied_stream_arrival():
+    sim = Simulator()
+    log = []
+    sim.attach_stream(ListStream("s", [0.5, 2.0], log))
+    answers = []
+
+    def probe():
+        answers.append(sim.reserve_inline(2.0))  # ties the arrival: refused
+        answers.append(sim.now)
+        answers.append(sim.reserve_inline(1.5))  # strictly earlier: granted
+        answers.append(sim.now)
+
+    sim.call_at(1.0, probe)
+    sim.run()
+    assert answers == [False, 1.0, True, 1.5]
+    assert log == [("s", 0.5), ("s", 2.0)]
+    # The granted reservation counts as one processed event.
+    assert sim.events_processed == 4

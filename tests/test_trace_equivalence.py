@@ -11,7 +11,7 @@ This suite drives the engine and the frozen seed copy
 (``tests/reference/legacy_cores.py``) through the *same* deterministic
 workload on the real ``Simulator`` + ``Link`` stack and compares the
 full trace record streams for exact equality. The engine side is
-constructed through ``make_scheduler``, run under both of the
+constructed through ``make_scheduler``, run under each of the
 simulator's run loops (:data:`RUN_LOOPS`), and in two variants,
 :data:`ENGINE_VARIANTS`: ``object`` is the default engine
 and ``array`` the same engine with ``debug_checks=True``, so every
@@ -49,6 +49,7 @@ from repro.servers import ConstantCapacity
 from repro.servers.link import Link
 from repro.simulation.engine import Simulator
 from repro.simulation.tracing import Tracer
+from repro.traffic.batch import ArrivalTimeline, FlowArrivals
 
 from tests.reference.legacy_cores import (
     LegacyDelayEDD,
@@ -210,18 +211,49 @@ SCHEDULERS = {
 }
 
 #: The simulator's run loops the optimized side must be byte-identical
-#: under, as ``max_events`` per loop: ``heap`` is plain ``run()``, the
-#: inlined heap loop (the id is kept from when this axis named event
+#: under, as ``run_trace`` options per loop: ``heap`` is plain ``run()``,
+#: the inlined heap loop (the id is kept from when this axis named event
 #: queues); ``budgeted`` is ``run(max_events=...)`` with a budget no
 #: workload reaches, which takes ``Simulator._run_generic`` and the
-#: budgeted ``reserve_inline`` path. The seed side always runs plain.
-RUN_LOOPS = {"heap": None, "budgeted": 10**9}
+#: budgeted ``reserve_inline`` path; ``stream`` delivers the arrivals
+#: through an :class:`ArrivalTimeline` attached with ``attach_stream``,
+#: which takes ``_run_generic``'s stream path and the stream check in
+#: ``reserve_inline``. The seed side always runs plain, one ``call_at``
+#: timer per arrival.
+RUN_LOOPS = {
+    "heap": {},
+    "budgeted": {"max_events": 10**9},
+    "stream": {"stream": True},
+}
 
 #: Schedulers supporting discard_tail (the others raise NotImplementedError).
 DISCARD_CAPABLE = {"SFQ", "SCFQ"}
 
 
-def run_trace(scheduler_factory, setup, workload_name, max_events=None):
+def _attach_timeline(sim, link, arrivals):
+    """Deliver ``arrivals`` (sorted) through one arrival stream.
+
+    One :class:`FlowArrivals` spec per (flow, rate) pair carries that
+    pair's times and lengths; ``owners`` lists the specs in the sorted
+    ``(time, flow)`` order, so the timeline breaks ties as the
+    ``call_at`` path's scheduling order does and numbers each flow's
+    packets in the same order.
+    """
+    specs, index, owners = [], {}, []
+    for t, flow, length, rate in arrivals:
+        key = (flow, rate)
+        if key not in index:
+            index[key] = len(specs)
+            specs.append(FlowArrivals(flow, [], length, rate=rate, lengths=[]))
+        spec = specs[index[key]]
+        spec.times.append(t)
+        spec.lengths.append(length)
+        owners.append(index[key])
+    times = [a[0] for a in arrivals]
+    sim.attach_stream(ArrivalTimeline(link.send, specs, times, owners))
+
+
+def run_trace(scheduler_factory, setup, workload_name, max_events=None, stream=False):
     """Run one (scheduler, workload) combination; return the trace."""
     flow_ids, arrivals, link_kwargs = WORKLOADS[workload_name]()
     sim = Simulator()
@@ -239,16 +271,20 @@ def run_trace(scheduler_factory, setup, workload_name, max_events=None):
         tracer=Tracer("eq"),
         **link_kwargs,
     )
-    seqnos = {fid: 0 for fid in flow_ids}
-    for t, flow, length, rate in sorted(arrivals, key=lambda a: (a[0], a[1])):
-        seqno = seqnos.get(flow, 0)
-        seqnos[flow] = seqno + 1
-        sim.call_at(
-            t,
-            lambda f=flow, ln=length, r=rate, s=seqno: link.send(
-                Packet(f, ln, seqno=s, rate=r)
-            ),
-        )
+    arrivals = sorted(arrivals, key=lambda a: (a[0], a[1]))
+    if stream:
+        _attach_timeline(sim, link, arrivals)
+    else:
+        seqnos = {fid: 0 for fid in flow_ids}
+        for t, flow, length, rate in arrivals:
+            seqno = seqnos.get(flow, 0)
+            seqnos[flow] = seqno + 1
+            sim.call_at(
+                t,
+                lambda f=flow, ln=length, r=rate, s=seqno: link.send(
+                    Packet(f, ln, seqno=s, rate=r)
+                ),
+            )
     sim.run(max_events=max_events)
     assert not sim.truncated
     return tuple(
@@ -277,7 +313,7 @@ def test_trace_equivalence(sched_name, wl_name, variant, run_loop):
     # DelayEDD churn: auto-registered flows need deadlines; skip handled
     # in _combos. Everything else must match record-for-record.
     optimized = run_trace(
-        lambda: new_factory(variant), setup, wl_name, RUN_LOOPS[run_loop]
+        lambda: new_factory(variant), setup, wl_name, **RUN_LOOPS[run_loop]
     )
     legacy = run_trace(legacy_factory, setup, wl_name)
     assert len(optimized) == len(legacy)
