@@ -92,13 +92,13 @@ def test_cost_flat_in_backlog_depth(request, algorithm):
     factory = MAKERS[algorithm]
     cycles = 20_000
     repeats = 5
-    costs = {
-        backlog: min(
-            _per_packet_seconds(factory, 16, backlog, cycles)
-            for _ in range(repeats)
-        ) / cycles
-        for backlog in (4, 40)
-    }
+    # Interleave the two depths repeat by repeat, alternating which goes
+    # first, so a drift in host speed lands on both sides of the ratio.
+    samples = {4: [], 40: []}
+    for r in range(repeats):
+        for backlog in (4, 40) if r % 2 == 0 else (40, 4):
+            samples[backlog].append(_per_packet_seconds(factory, 16, backlog, cycles))
+    costs = {backlog: min(s) / cycles for backlog, s in samples.items()}
     ratio = costs[40] / costs[4]
     assert ratio < 1.2, (
         f"{algorithm}: per-packet cost grew {ratio:.2f}x when per-flow "

@@ -80,6 +80,7 @@ class Link:
         "_in_flight",
         "_completion",
         "_wakeup",
+        "_reserve",
         "_records",
         "bits_transmitted",
         "packets_transmitted",
@@ -136,6 +137,9 @@ class Link:
         self._in_flight: Optional[Packet] = None
         self._completion = None  # pending transmission-complete event
         self._wakeup = None  # pending eligibility wake-up event
+        # The seed engine (tests/reference) has no reserve_inline; the
+        # busy-period fast path simply stays off there.
+        self._reserve = getattr(sim, "reserve_inline", None)
         # packet uid -> tracer handle (only populated while tracing).
         self._records: Dict[int, object] = {}
         self.bits_transmitted = 0
@@ -158,31 +162,33 @@ class Link:
             handle = tracer.on_arrival(packet.flow, packet.seqno, packet.length, now)
         else:
             handle = None
-        # Longest-queue-drop may need several evictions to make room for
-        # a large arrival under a bits-denominated buffer. An unlimited
-        # buffer (the common case) skips the admission check entirely.
+        scheduler = self.scheduler
+        cap = self.buffer_packets
         if (
-            self.buffer_packets is not None
-            or self.buffer_bits is not None
+            self.buffer_bits is not None
             or self.per_flow_buffer_packets
+            or (cap is not None and self.drop_policy != "drop_tail")
         ):
+            # Longest-queue-drop may need several evictions to make room
+            # for a large arrival under a bits-denominated buffer.
             while self._buffer_full(packet):
                 victim = None
                 if self.drop_policy == "longest_queue" and not self._per_flow_limited(packet):
                     victim = self._drop_from_longest_queue(now)
                 if victim is None:
-                    if handle is not None:
-                        tracer.mark_dropped(handle)
-                    self.packets_dropped += 1
-                    if self.metrics.enabled:
-                        self.metrics.on_dropped(packet.flow, packet.length, now)
-                    if self.drop_hooks:
-                        for hook in self.drop_hooks:
-                            hook(packet, now)
+                    self._drop(packet, handle, now)
                     return False
+        elif (
+            cap is not None
+            and scheduler.backlog_packets + 1 > cap
+            and (self._busy or not scheduler.is_empty)
+        ):
+            # Shared drop-tail buffer. A packet that goes straight to an
+            # idle transmitter never waits, so no limit applies to it.
+            self._drop(packet, handle, now)
+            return False
         if handle is not None:
             self._records[packet.uid] = handle
-        scheduler = self.scheduler
         scheduler.enqueue(packet, now)
         metrics = self.metrics
         if metrics.enabled:
@@ -219,15 +225,18 @@ class Link:
         victim = self.scheduler.discard_tail(longest)
         if victim is None:
             return None
-        victim_handle = self._records.pop(victim.uid, None)
-        if victim_handle is not None:
-            self.tracer.mark_dropped(victim_handle)
+        self._drop(victim, self._records.pop(victim.uid, None), now)
+        return victim
+
+    def _drop(self, packet: Packet, handle: Optional[object], now: float) -> None:
+        """Record ``packet`` as dropped at ``now``: tracer, counters, hooks."""
+        if handle is not None:
+            self.tracer.mark_dropped(handle)
         self.packets_dropped += 1
         if self.metrics.enabled:
-            self.metrics.on_dropped(victim.flow, victim.length, now)
+            self.metrics.on_dropped(packet.flow, packet.length, now)
         for hook in self.drop_hooks:
-            hook(victim, now)
-        return victim
+            hook(packet, now)
 
     def _buffer_full(self, packet: Packet) -> bool:
         if not self._busy and self.scheduler.is_empty:
@@ -252,42 +261,19 @@ class Link:
     # ------------------------------------------------------------------
     # Service loop
     # ------------------------------------------------------------------
-    def _arm_next(self, now: float) -> Optional[Tuple[Packet, float]]:
-        """Claim the transmitter for the next packet, if any.
-
-        Everything :meth:`_start_service` does *except* arranging the
-        completion — the caller either schedules it as a timer or (in
-        the busy-period fast path of :meth:`_complete`) runs it inline.
-        ``now`` is the caller's current simulation time (always
-        ``sim.now``; passed in so the fast path's loop can track the
-        clock without re-reading it). Returns ``(packet, finish_time)``
-        once the transmitter is claimed, or ``None`` when service
-        cannot start (already busy, link down, or nothing eligible to
-        send).
-        """
-        if self._busy:
-            # A departure hook already restarted service reentrantly
-            # (e.g. a closed-loop source refilling inside _complete).
-            return None
-        if self._pause_depth:
-            # Link is down: arrivals queue, the transmitter stays idle.
-            return None
+    def _start_service(self) -> None:
+        """Put the next packet on the wire, if the link is up and idle."""
+        if self._busy or self._pause_depth:
+            return
+        now = self.sim.now
         packet = self.scheduler.dequeue(now)
         if packet is None:
-            if self._busy_since is not None:
-                self.busy_periods.append((self._busy_since, now))
-                self._busy_since = None
-            if self.scheduler.backlog_packets > 0:
-                # Non-work-conserving discipline holding packets back:
-                # wake up when the next one becomes eligible.
-                wake = self.scheduler.next_eligible_time(now)
-                if wake is not None and (
-                    self._wakeup is None or not self._wakeup.pending
-                ):
-                    self._wakeup = self.sim.at(
-                        max(wake, now), self._on_wakeup
-                    )
-            return None
+            self._went_idle(now)
+        else:
+            self._transmit(packet, now)
+
+    def _transmit(self, packet: Packet, now: float) -> None:
+        """Put ``packet`` on the wire at ``now``; time its completion."""
         if self._busy_since is None:
             self._busy_since = now
         self._busy = True
@@ -296,13 +282,22 @@ class Link:
             handle = self._records.get(packet.uid)
             if handle is not None:
                 self.tracer.mark_start(handle, now)
-        return packet, self.capacity.finish_time(now, packet.length)
+        finish = self.capacity.finish_time(now, packet.length)
+        self._completion = self.sim.at(finish, self._complete, packet)
 
-    def _start_service(self) -> None:
-        armed = self._arm_next(self.sim.now)
-        if armed is not None:
-            packet, finish = armed
-            self._completion = self.sim.at(finish, self._complete, packet)
+    def _went_idle(self, now: float) -> None:
+        """Nothing eligible to send: close the busy period."""
+        if self._busy_since is not None:
+            self.busy_periods.append((self._busy_since, now))
+            self._busy_since = None
+        if self.scheduler.backlog_packets > 0:
+            # Non-work-conserving discipline holding packets back:
+            # wake up when the next one becomes eligible.
+            wake = self.scheduler.next_eligible_time(now)
+            if wake is not None and (
+                self._wakeup is None or not self._wakeup.pending
+            ):
+                self._wakeup = self.sim.at(max(wake, now), self._on_wakeup)
 
     def _complete(self, packet: Packet) -> None:  # lint: hot
         """Finish transmitting ``packet``; chain the busy period.
@@ -321,10 +316,10 @@ class Link:
         identical either way.
         """
         sim = self.sim
-        # The seed engine (tests/reference) has no reserve_inline; the
-        # fast path simply stays off there.
-        reserve = getattr(sim, "reserve_inline", None)
+        reserve = self._reserve
         scheduler = self.scheduler
+        dequeue = scheduler.dequeue
+        finish_time = self.capacity.finish_time
         metrics = self.metrics
         now = sim.now
         while True:
@@ -346,10 +341,24 @@ class Link:
             if self.departure_hooks:
                 for hook in self.departure_hooks:
                     hook(packet, now)
-            armed = self._arm_next(now)
-            if armed is None:
+            # The next transmission: _start_service and _transmit, inlined.
+            if self._busy or self._pause_depth:
+                # A departure hook already restarted service reentrantly
+                # (a closed-loop source refilling) or took the link down.
                 return
-            packet, finish = armed
+            packet = dequeue(now)
+            if packet is None:
+                self._went_idle(now)
+                return
+            if self._busy_since is None:
+                self._busy_since = now
+            self._busy = True
+            self._in_flight = packet
+            if self._records:
+                handle = self._records.get(packet.uid)
+                if handle is not None:
+                    self.tracer.mark_start(handle, now)
+            finish = finish_time(now, packet.length)
             if reserve is not None and reserve(finish):
                 now = finish  # reserve_inline advanced the clock here
                 continue  # complete inline, no timer
@@ -411,11 +420,7 @@ class Link:
         packet = self._in_flight
         if packet is not None:
             if recovery == "replay":
-                handle = self._records.get(packet.uid)
-                if handle is not None:
-                    self.tracer.mark_start(handle, now)
-                finish = self.capacity.finish_time(now, packet.length)
-                self._completion = self.sim.at(finish, self._complete, packet)
+                self._transmit(packet, now)
                 return
             # recovery == "drop": the interrupted packet is lost. The
             # scheduler still gets its completion notification (the
@@ -425,16 +430,9 @@ class Link:
             # service from a queue eviction.
             self._busy = False
             self._in_flight = None
-            handle = self._records.pop(packet.uid, None)
-            if handle is not None:
-                self.tracer.mark_dropped(handle)
             packet.meta["outage_drop"] = True
-            self.packets_dropped += 1
-            if self.metrics.enabled:
-                self.metrics.on_dropped(packet.flow, packet.length, now)
             self.scheduler.on_service_complete(packet, now)
-            for hook in self.drop_hooks:
-                hook(packet, now)
+            self._drop(packet, self._records.pop(packet.uid, None), now)
         self._start_service()
 
     # ------------------------------------------------------------------

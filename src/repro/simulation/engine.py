@@ -34,6 +34,12 @@ This module is the only place that mutates the heap (lint rule PERF002).
 :meth:`Simulator.run` has two loops: the common one (no streams, no
 ``max_events`` budget) is inlined in ``run`` itself, and
 :meth:`Simulator._run_generic` handles arrival streams and budgets.
+Both skip cancelled entries in place. ``_run_generic`` also reads a
+lone attached stream's ``next_time`` directly (only two or more streams
+go through :meth:`Simulator._min_stream`) and runs a cancellable
+event's callback itself rather than through ``Event._fire``.
+:meth:`Simulator.reserve_inline` makes the same inline heap and stream
+checks.
 
 Busy-period timer elision
 -------------------------
@@ -180,7 +186,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: {time} < now={self._now}"
             )
-        event = Event(time, callback, args, priority=priority)
+        event = Event(time, callback, args, priority)
         self._push((time, priority, event.seq, event))
         return event
 
@@ -385,18 +391,41 @@ class Simulator:
             self._now = until
         return self._now
 
-    def _run_generic(self, limit: float) -> None:
+    def _run_generic(self, limit: float) -> None:  # lint: hot
         """Run loop handling arrival streams and ``max_events`` budgets.
 
         Kept out of the common path so simulations without either pay
-        nothing. A stream arrival wins ties against queue timers at the
-        same instant.
+        nothing. Each turn skips cancelled heap entries in place, reads
+        the one attached stream's ``next_time`` directly (two or more go
+        through :meth:`_min_stream`), and fires whichever is due first;
+        a stream arrival wins ties against queue timers at the same
+        instant.
         """
         heap = self._heap
+        pop = heappop
+        inf = math.inf
         while not self._stopped:
-            head = self._peek_live()
-            heap_t = float(head[0]) if head is not None else math.inf
-            stream_t, stream = self._min_stream()
+            head = None
+            while heap:
+                head = heap[0]
+                event = head[3]
+                if event is not None and event.cancelled:
+                    pop(heap)
+                    head = None
+                    continue
+                break
+            heap_t = head[0] if head is not None else inf
+            streams = self._streams
+            if not streams:
+                stream = None
+            elif len(streams) == 1:
+                stream = streams[0]
+                stream_t = stream.next_time
+                if stream_t == inf:
+                    self._streams = []
+                    stream = None
+            else:
+                stream_t, stream = self._min_stream()
             if stream is not None and stream_t <= heap_t:
                 if stream_t > limit:
                     break
@@ -407,14 +436,19 @@ class Simulator:
                 time = head[0]
                 if time > limit:
                     break
-                heappop(heap)
+                pop(heap)
                 self._now = time
                 self._events_processed += 1
-                event = head[3]
                 if event is None:
                     head[4](*head[5])
                 else:
-                    event._fire()
+                    # Event._fire without its cancelled check: the skip
+                    # above already dropped every cancelled entry.
+                    event.fired = True
+                    callback, args = event.callback, event.args
+                    event.callback = None
+                    event.args = ()
+                    callback(*args)
             else:
                 break
             budget = self._budget_left
@@ -456,12 +490,22 @@ class Simulator:
         budget = self._budget_left
         if budget is not None and budget <= 1:
             return False
-        head = self._peek_live()
-        if head is not None and head[0] <= time:
-            return False
-        if self._streams:
-            stream_t, _ = self._min_stream()
-            if stream_t <= time:
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            event = head[3]
+            if event is not None and event.cancelled:
+                heappop(heap)
+                continue
+            if head[0] <= time:
+                return False
+            break
+        streams = self._streams
+        if streams:
+            if len(streams) == 1:
+                if streams[0].next_time <= time:
+                    return False
+            elif self._min_stream()[0] <= time:
                 return False
         if budget is not None:
             self._budget_left = budget - 1

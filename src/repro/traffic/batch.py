@@ -291,27 +291,25 @@ class ArrivalTimeline:
         """Deliver the arrival at ``next_time`` and advance."""
         state = self._state
         pos = state.pos
+        times = state.times
         owner = state.owners[pos]
         spec = self.specs[owner]
         flow_id = spec.flow_id
-        seqno = self._seqnos.get(flow_id, 0)
-        self._seqnos[flow_id] = seqno + 1
-        ordinal = self._delivered[owner]
-        self._delivered[owner] = ordinal + 1
-        length = spec.lengths[ordinal] if spec.lengths is not None else spec.length
-        packet = Packet(
-            flow_id,
-            length,
-            arrival=state.times[pos],
-            seqno=seqno,
-            rate=spec.rate,
-        )
+        seqnos = self._seqnos
+        seqno = seqnos.get(flow_id, 0)
+        seqnos[flow_id] = seqno + 1
+        delivered = self._delivered
+        ordinal = delivered[owner]
+        delivered[owner] = ordinal + 1
+        lengths = spec.lengths
+        length = lengths[ordinal] if lengths is not None else spec.length
+        packet = Packet(flow_id, length, times[pos], seqno, spec.rate)
         self.packets_sent += 1
         self.bits_sent += length
         pos += 1
         state.pos = pos
-        if pos < len(state.times):
-            self.next_time = state.times[pos]
+        if pos < len(times):
+            self.next_time = times[pos]
         else:
             self._load_chunk()
         self._ingress(packet)
@@ -415,23 +413,23 @@ class FleetTimeline:
         """Deliver the arrival at ``next_time`` and advance."""
         state = self._state
         pos = state.pos
+        times = state.times
         idx = state.owners[pos]
         seqnos = self._seqnos
         seqno = seqnos[idx]
         seqnos[idx] = seqno + 1
+        ids = self._ids
+        length = self._length
         packet = Packet(
-            self._ids[idx] if self._ids is not None else idx,
-            self._length,
-            arrival=state.times[pos],
-            seqno=seqno,
-            rate=self._rate,
+            ids[idx] if ids is not None else idx, length, times[pos], seqno,
+            self._rate,
         )
         self.packets_sent += 1
-        self.bits_sent += self._length
+        self.bits_sent += length
         pos += 1
         state.pos = pos
-        if pos < len(state.times):
-            self.next_time = state.times[pos]
+        if pos < len(times):
+            self.next_time = times[pos]
         else:
             self._load_chunk()
         self._ingress(packet)
